@@ -3,9 +3,13 @@
 Strategies carry two state displacements, per-setting local displacements
 and SU(2) angles for both players.  Evaluation follows the exact
 Grassmann path (superstate.measure_real of the locally rotated shared
-state).  The optimizer uses a dense vectorized evaluator over the
-16-dimensional Grassmann coefficient space, built at import time from
-the exact algebra and cross-checked against it in the test suite.
+state).  The optimizer uses a dense vectorized evaluator in the regular
+representation of the 4-generator algebra: the 16x16x16 structure tensor,
+built at import time from the exact algebra, turns the coefficients of
+every local group element into its 16x16 left-multiplication matrix with
+one matrix product, both graded contractions are batched matrix products,
+and the hash and the Rogers norm fold into one 16x16 quadratic form.  The
+test suite cross-checks it against the exact path.
 
 Winning rule: outcomes 1 and bullet both announce bit 1; the players win
 when a XOR b = i AND j, each referee question pair weighted 1/4.
@@ -102,12 +106,7 @@ def outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
 
 
 def win_prob(strat: Strategy) -> float:
-    total = 0.0
-    for (i, j) in SETTINGS:
-        probs = outcome_probs(i, j, strat)
-        winners = WIN_DIFF if (i, j) == (1, 1) else WIN_SAME
-        total += sum(probs[k] for k in winners)
-    return 0.25 * total
+    return _pwin_from_tables([outcome_probs(i, j, strat) for (i, j) in SETTINGS])
 
 
 def constraint_violation(strat: Strategy, tables=None) -> float:
@@ -115,15 +114,11 @@ def constraint_violation(strat: Strategy, tables=None) -> float:
     plus the total box excess of |p|, |r|, |s| beyond 1/2."""
     if tables is None:
         tables = [outcome_probs(i, j, strat) for (i, j) in SETTINGS]
-    worst = 0.0
-    for row in tables:
-        for p in row:
-            worst = max(worst, -p, p - 1.0)
     box = sum(
         max(0.0, abs(x) - BOX_LIMIT)
         for x in (strat.p_a, strat.p_b, *strat.r, *strat.s)
     )
-    return max(worst, 0.0) + box
+    return _table_violation(np.asarray(tables, dtype=float)) + box
 
 
 def best_classical_win_prob() -> float:
@@ -174,101 +169,82 @@ def oracle_win_prob(strat: Strategy) -> float:
     return 0.25 * total
 
 
-# -- vectorized evaluator over the 16 basis monomials of the 4-generator algebra
+# -- vectorized evaluator: regular representation of the 4-generator algebra --
+
+
+def _dense(m: Supermatrix) -> np.ndarray:
+    """Real coefficients [row, col, monomial] of a 3x3 supermatrix over CL_4."""
+    out = np.zeros((3, 3, 16))
+    for i, j in np.ndindex(3, 3):
+        for mask, c in m[i, j].terms().items():
+            out[i, j, mask] = c.real
+    return out
 
 
 def _build_kernel_tables():
-    """Structure constants, hash action and Rogers weights for the dense
-    evaluator, generated from the exact algebra so every sign convention
-    is inherited rather than restated.  Products of basis monomials are
-    sparse (disjoint masks only), kept as gather/scatter index lists."""
-    hperm = np.zeros(16, dtype=np.intp)
-    hsign = np.zeros(16)
-    w = np.zeros(16)
-    for x in range(16):
-        ex = Supernumber(4, {x: 1.0})
-        ((hm, hc),) = ex.hash().terms().items()
-        hperm[x] = hm
-        hsign[x] = hc.real
-        if bin(x).count("1") % 2 == 0:
-            w[x] = modified_rogers(ex)
-    xi, yi, sg = [], [], []
-    scat = []
-    k = np.zeros((16, 16))
-    for x in range(16):
-        ex = Supernumber(4, {x: 1.0})
-        for y in range(16):
-            prod = (ex * Supernumber(4, {y: 1.0})).terms()
-            for z, c in prod.items():
-                xi.append(x)
-                yi.append(y)
-                sg.append(c.real)
-                row = np.zeros(16)
-                row[z] = 1.0
-                scat.append(row)
-                k[x, y] += c.real * w[z]
-    return (hperm, hsign, np.array(xi, dtype=np.intp), np.array(yi, dtype=np.intp),
-            np.array(sg), np.array(scat), k)
+    """Structure tensor, folded hash/Rogers form and displacement tables of
+    the dense evaluator, generated from the exact algebra so every sign
+    convention is inherited rather than restated."""
+    basis = [Supernumber(4, {x: 1.0}) for x in range(16)]
+    m = np.zeros((16, 16, 16))  # e_x e_y = sum_z m[x, y, z] e_z
+    for x, y in np.ndindex(16, 16):
+        for z, c in (basis[x] * basis[y]).terms().items():
+            m[x, y, z] = c.real
+    w = np.array([modified_rogers(e) if e.parity() == 0 else 0.0 for e in basis])
+    # hash(c e_y) = conj(c) hsign[y] e_hperm[y]; folding it into the Rogers
+    # weights of products gives modified_rogers(x hash(x)) = x @ kh @ conj(x)
+    hperm, hsign = zip(*(next(iter(e.hash().terms().items())) for e in basis))
+    kh = (m @ w)[:, list(hperm)] * np.real(hsign)
+    # S(2 p eta) is quadratic in p, since eta eta# squares to zero:
+    # S0 + p S1 + p^2 S2, fixed by its values at p = 0, 1, -1
+    powers = []
+    for pair in (1, 2):
+        s0, plus, minus = (_dense(s_matrix(p, 4, pair)) for p in (0.0, 1.0, -1.0))
+        powers.append(np.stack((s0, (plus - minus) / 2, (plus + minus) / 2 - s0)).reshape(3, 144))
+    return m, kh, np.stack((powers[0], powers[0], powers[1], powers[1]))
 
 
-_HPERM, _HSIGN, _XI, _YI, _SG, _SCAT, _K = _build_kernel_tables()
+# _S_POWERS[setting] holds the p^0, p^1, p^2 tables of Alice's two settings
+# (generator pair 1), then Bob's two (pair 2)
+_M, _KH, _S_POWERS = _build_kernel_tables()
+_LEFT = _M.reshape(16, 256)  # coefficients @ _LEFT = left-multiplication matrices
 
-# graded Kronecker sign for entry ((i,k),(j,l)) with parities (0,0,1)
+# graded Kronecker sign (-1)^((|i| + |j|) |k|) of Alice's entry (i, j) against
+# Bob's row k, with parities (0, 0, 1); laid out [i, 1, k, j, 1] to broadcast
+# over [i, Bob setting, k, j, monomial]
 _VP = np.array([0, 0, 1])
-_SIGN = np.where((_VP[:, None, None] + _VP[None, :, None]) * _VP[None, None, :] % 2, -1.0, 1.0)
+_SIGN = np.where(
+    (_VP[:, None, None] + _VP[None, None, :]) * _VP[None, :, None] % 2, -1.0, 1.0
+)[:, None, :, :, None]
 
 # measurement prefactor per composite outcome: (-1)^|ket| times the
-# bra-reordering sign (-1 when both outcomes are bullet)
+# bra-reordering sign (-1 when both outcomes are bullet); laid out
+# [Alice digit, 1, Bob digit]
 _PREF = np.array([
     (-1.0 if ket_parity(ix, 2) else 1.0) * (-1.0 if digits_of(ix, 2) == (2, 2) else 1.0)
     for ix in range(9)
-])
-
-_NP = _XI.size
-_P1 = np.einsum_path(
-    "Jklm,jlm->Jjkm",
-    np.empty((2, 3, 3, _NP), complex), np.empty((3, 3, _NP), complex),
-    optimize="optimal",
-)[0]
-_P2 = np.einsum_path(
-    "ijk,Iijm,Jjkm->IJikm",
-    _SIGN, np.empty((2, 3, 3, _NP), complex), np.empty((2, 3, 3, _NP), complex),
-    optimize="optimal",
-)[0]
-_P3 = np.einsum_path(
-    "IJix,xy,IJiy->IJi",
-    np.empty((2, 2, 9, 16), complex), _K, np.empty((2, 2, 9, 16), complex),
-    optimize="optimal",
-)[0]
+]).reshape(3, 1, 3)
 
 
-def _z_array(p: float, theta: float, phi: float, pair: int) -> np.ndarray:
-    """Dense [3,3,16] coefficients of S(2 p eta) U(theta, phi) on one pair."""
-    a = math.cos(theta)
-    b = cmath.exp(1j * phi) * math.sin(theta)
-    e1, e2 = (1, 2) if pair == 1 else (4, 8)
-    ex = e1 | e2
-    z = np.zeros((3, 3, 16), dtype=complex)
-    half = 0.5 * p * p
-    for (row, col), c in (((0, 0), a), ((0, 1), -b.conjugate()),
-                          ((1, 0), b), ((1, 1), a)):
-        z[row, col, 0] = c
-        z[row, col, ex] = c * half
-    z[0, 2, e2] = -p
-    z[1, 2, e1] = -p
-    z[2, 0, e1] = p * a
-    z[2, 0, e2] = -p * b
-    z[2, 1, e1] = -p * b.conjugate()
-    z[2, 1, e2] = -p * a
-    z[2, 2, 0] = 1.0
-    z[2, 2, ex] = -p * p
-    return z
+def _group_coefficients(p: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Coefficients [setting, row, col, monomial] of the four local group
+    elements S(2 p eta) U(theta, phi), Alice's two settings then Bob's."""
+    a = np.cos(theta)
+    b = np.exp(1j * phi) * np.sin(theta)
+    u = np.zeros((4, 3, 3), dtype=complex)
+    u[:, 0, 0] = u[:, 1, 1] = a
+    u[:, 0, 1] = -b.conj()
+    u[:, 1, 0] = b
+    u[:, 2, 2] = 1.0
+    s = (np.stack((np.ones(4), p, p * p), axis=-1)[:, None] @ _S_POWERS).reshape(4, 3, 3, 16)
+    # z_rc = sum_m s_rm u_mc: u has no soul, so it commutes past s
+    return u.transpose(0, 2, 1)[:, None] @ s
 
 
 def _upsilon_right(pa: float, pb: float) -> np.ndarray:
     """Right coordinates of the shared state as a dense [3,3,16] array
     indexed (Alice digit, Bob digit, monomial mask)."""
-    v = np.zeros((3, 3, 16), dtype=complex)
+    v = np.zeros((3, 3, 16))
     c = 1.0 / math.sqrt(2.0)
     ha, hb = 0.5 * pa * pa, 0.5 * pb * pb
     for d in (0, 1):
@@ -286,22 +262,18 @@ def _upsilon_right(pa: float, pb: float) -> np.ndarray:
 
 def _fast_tables(vec: np.ndarray) -> np.ndarray:
     """All four 9-outcome probability tables (rows ordered 00, 01, 10, 11)."""
-    pa, pb, r0, r1, s0, s1, ta0, fa0, ta1, fa1, tb0, fb0, tb1, fb1 = vec
-    v = _upsilon_right(pa, pb)
-    a = np.stack((_z_array(r0, ta0, fa0, 1), _z_array(r1, ta1, fa1, 1)))
-    b = np.stack((_z_array(s0, tb0, fb0, 2), _z_array(s1, tb1, fb1, 2)))
-    # w1[J,j,k] = sum_l b_kl * v_jl per Bob setting J (algebra product via
-    # gather over nonzero mask pairs, then scatter back to 16 coefficients)
-    e1 = np.einsum("Jklm,jlm->Jjkm", b[..., _XI], v[..., _YI], optimize=_P1)
-    w1 = (e1 * _SG) @ _SCAT
-    # res[I,J,i,k] = sum_j koszul(i,j,k) a_ij * w1_jk per Alice setting I
-    e2 = np.einsum("ijk,Iijm,Jjkm->IJikm", _SIGN, a[..., _XI], w1[..., _YI],
-                   optimize=_P2)
-    res = ((e2 * _SG) @ _SCAT).reshape(2, 2, 9, 16)
-    resh = np.zeros_like(res)
-    resh[..., _HPERM] = _HSIGN * np.conj(res)
-    probs = np.einsum("IJix,xy,IJiy->IJi", res, _K, resh, optimize=_P3).real
-    return (probs * _PREF).reshape(4, 9)
+    z = _group_coefficients(vec[2:6], vec[6::2], vec[7::2]).reshape(36, 16)
+    # _LEFT is real: two real products cost less than one complex one
+    left = np.empty((36, 256), dtype=complex)
+    left.real = z.real @ _LEFT
+    left.imag = z.imag @ _LEFT
+    la, lb = left.reshape(2, 2, 3, 48, 16)  # per party [setting, row, (col, y), z]
+    # Bob first: w1[J, k, j] = sum_l b^J_kl v_jl
+    w1 = _upsilon_right(vec[0], vec[1]).reshape(3, 48) @ lb
+    # then Alice: res[I, i, (J, k)] = sum_j sign(i, j, k) a^I_ij w1[J, k, j]
+    res = (_SIGN * w1).reshape(3, 6, 48) @ la
+    probs = ((res @ _KH) * res.conj()).sum(-1).real.reshape(2, 3, 2, 3)
+    return (probs * _PREF).transpose(0, 2, 1, 3).reshape(4, 9)
 
 
 def fast_outcome_tables(strat: Strategy) -> np.ndarray:
@@ -309,17 +281,20 @@ def fast_outcome_tables(strat: Strategy) -> np.ndarray:
     return _fast_tables(np.asarray(strat.to_vector(), dtype=float))
 
 
+# 1/4 on each winning outcome of the four flattened tables
+_WIN_WEIGHTS = 0.25 * np.array(
+    [k in (WIN_DIFF if (i, j) == (1, 1) else WIN_SAME) for (i, j) in SETTINGS for k in range(9)],
+    dtype=float,
+)
+
+
 def _pwin_from_tables(t) -> float:
-    return 0.25 * (
-        sum(t[0][k] for k in WIN_SAME)
-        + sum(t[1][k] for k in WIN_SAME)
-        + sum(t[2][k] for k in WIN_SAME)
-        + sum(t[3][k] for k in WIN_DIFF)
-    )
+    """Win probability from the four tables, as nested sequences or a (4, 9) array."""
+    return float(np.asarray(t, dtype=float).reshape(36) @ _WIN_WEIGHTS)
 
 
 def _table_violation(t: np.ndarray) -> float:
-    return max(0.0, float(np.max(-t)), float(np.max(t - 1.0)))
+    return float(max(0.0, -t.min(), t.max() - 1.0))
 
 
 # -- seeded multi-start maximization -------------------------------------------
@@ -348,19 +323,21 @@ class OptimizationResult:
     best_restart: int
 
 
+# bounds of the 14 strategy entries: displacements in the box, angles free
+_UPPER = np.concatenate((np.full(6, BOX_LIMIT), np.full(8, np.inf)))
+_LOWER = -_UPPER
+
+
 def _embed(x: np.ndarray, quantum_only: bool) -> np.ndarray:
-    if not quantum_only:
-        return np.array(x, dtype=float)
-    full = np.zeros(14)
-    full[6:] = x
-    return full
+    """Full strategy vector of a search point, displacements held in the box."""
+    if quantum_only:
+        return np.concatenate((np.zeros(6), x))
+    return np.clip(x, _LOWER, _UPPER)
 
 
 def _objective(penalty: float, quantum_only: bool):
     def f(x):
-        vec = _embed(x, quantum_only)
-        vec[:6] = np.clip(vec[:6], -BOX_LIMIT, BOX_LIMIT)
-        t = _fast_tables(vec)
+        t = _fast_tables(_embed(x, quantum_only))
         v = _table_violation(t)
         return -(_pwin_from_tables(t) - penalty * v * v)
     return f
@@ -412,7 +389,6 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
                 x = res.x
                 total_iters += int(res.nit)
         vec = _embed(x, config.quantum_only)
-        vec[:6] = np.clip(vec[:6], -BOX_LIMIT, BOX_LIMIT)
         t = _fast_tables(vec)
         pwin = _pwin_from_tables(t)
         viol = _table_violation(t)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from superqubit.chsh import (
+    _KH,
+    _M,
     BOX_LIMIT,
     OUTCOME_LABELS,
     SETTINGS,
@@ -17,6 +19,7 @@ from superqubit.chsh import (
     WIN_SAME,
     OptimizeConfig,
     Strategy,
+    _group_coefficients,
     best_classical_win_prob,
     constraint_violation,
     fast_outcome_tables,
@@ -27,8 +30,11 @@ from superqubit.chsh import (
     outcome_probs,
     win_prob,
 )
+from superqubit.grassmann import Supernumber, modified_rogers
 from superqubit.superstate import index_of
 from superqubit.uosp import s_matrix, u_matrix
+
+from conftest import rand_supernumber
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
@@ -110,13 +116,49 @@ def test_tables_are_normalized():
 
 def test_fast_tables_match_exact_evaluator():
     rng = random.Random(7)
+    strategies = [_random_strategy(rng, super_scale=0.8) for _ in range(20)]
+    # rotation-only strategies, and displacements on the edge of the box
+    strategies += [_random_strategy(rng, super_scale=0.0) for _ in range(4)]
     for _ in range(4):
-        strat = _random_strategy(rng, super_scale=0.8)
+        edge = [rng.choice((-BOX_LIMIT, BOX_LIMIT)) for _ in range(6)]
+        strategies.append(Strategy.from_vector(edge + _random_strategy(rng).to_vector()[6:]))
+    for strat in strategies:
         fast = fast_outcome_tables(strat)
         assert fast.shape == (4, 9)
         for row, (i, j) in enumerate(SETTINGS):
             exact = outcome_probs(i, j, strat)
-            assert np.max(np.abs(fast[row] - np.asarray(exact))) < 1e-12
+            assert np.max(np.abs(fast[row] - np.asarray(exact))) < 1e-13
+
+
+def _coefficients(x: Supernumber) -> np.ndarray:
+    out = np.zeros(16, dtype=complex)
+    for mask, c in x.terms().items():
+        out[mask] = c
+    return out
+
+
+def test_kernel_tables_reproduce_exact_algebra():
+    rng = random.Random(17)
+    for _ in range(10):
+        x, y = rand_supernumber(rng, 4), rand_supernumber(rng, 4)
+        # product through the left-multiplication matrix of x
+        left = (_coefficients(x) @ _M.reshape(16, 256)).reshape(16, 16)
+        want = _coefficients(x * y)
+        assert np.max(np.abs(_coefficients(y) @ left - want)) <= 1e-14
+        # folded hash/Rogers form on homogeneous elements
+        for parity in (0, 1):
+            h = rand_supernumber(rng, 4, parity=parity)
+            c = _coefficients(h)
+            assert (c @ _KH @ c.conj()).real == pytest.approx(
+                modified_rogers(h * h.hash()).real, abs=1e-14)
+    # coefficients of the local group elements against the exact supermatrices
+    p, theta, phi = (np.array([rng.uniform(-1, 1) for _ in range(4)]) for _ in range(3))
+    z = _group_coefficients(p, theta, phi)
+    for s in range(4):
+        exact = local_rotation(p[s], theta[s], phi[s], pair=1 + s // 2)
+        for r in range(3):
+            for c in range(3):
+                assert np.max(np.abs(z[s, r, c] - _coefficients(exact[r, c]))) <= 1e-14
 
 
 def test_tsirelson_strategy_reaches_quantum_bound():
