@@ -6,6 +6,16 @@ strictly ascending product of distinct generators, stored as an N-bit
 mask (bit g-1 set iff generator g is present), so nilpotency and the
 reordering signs reduce to bit arithmetic.
 
+Arithmetic works on the coefficient dicts directly: a sum of products
+sum_t a_t b_t (a product, one entry of a matrix product) accumulates into
+one dict, and the result is built once, dropping every coefficient with
+|c| <= PRUNE_TOL.  The reordering sign of each factor mask and the hash
+image of each monomial are cached by mask; masks are independent of the
+algebra order, so each cache holds at most 2^MAX_ORDER entries.  The
+modified Rogers norm is a dot product with a per-order weight table whose
+entries come from applying its Berezin-integral definition to each even
+basis monomial, on first use.
+
 Everything here is a pure function on immutable values.
 """
 
@@ -34,19 +44,25 @@ class DomainError(ValueError):
     """Body outside the domain of the requested function (e.g. sqrt)."""
 
 
-def _merge_sign(ma: int, mb: int) -> int:
-    """Sign of sorting the concatenation of two ascending monomials.
+def _above(mask: int) -> int:
+    """Bit g set iff an odd number of the generators of mask lie above g.
 
-    Each generator of mb must jump over every generator of ma with a
-    strictly larger index; masks are assumed disjoint.
+    The sign of sorting the concatenation of ascending monomials ma, mb
+    (disjoint) is (-1)^popcount(_above(ma) & mb): each generator of mb
+    jumps over every generator of ma with a larger index.
     """
-    swaps = 0
-    b = mb
-    while b:
-        low = b & -b
-        swaps += (ma >> low.bit_length()).bit_count()
-        b ^= low
-    return -1 if swaps & 1 else 1
+    a = _ABOVE.get(mask)
+    if a is None:
+        a = mask >> 1  # suffix parity; masks have at most MAX_ORDER = 16 bits
+        a ^= a >> 1
+        a ^= a >> 2
+        a ^= a >> 4
+        a ^= a >> 8
+        _ABOVE[mask] = a
+    return a
+
+
+_ABOVE: dict[int, int] = {}
 
 
 def _sort_sign(gens: list[int]) -> tuple[int, int]:
@@ -65,6 +81,26 @@ def _sort_sign(gens: list[int]) -> tuple[int, int]:
     return sign, mask
 
 
+def _hash_image(mask: int) -> tuple[int, int]:
+    """(sign, mask') with hash(e_mask) = sign * e_mask'."""
+    image = _HASH_IMAGE.get(mask)
+    if image is None:
+        sign = 1
+        gens = []
+        for g in _bits(mask):
+            if g & 1:
+                gens.append(g + 1)
+            else:
+                gens.append(g - 1)
+                sign = -sign
+        s2, m2 = _sort_sign(gens)
+        image = _HASH_IMAGE[mask] = (sign * s2, m2)
+    return image
+
+
+_HASH_IMAGE: dict[int, tuple[int, int]] = {}
+
+
 def _bits(mask: int):
     """Yield generator indices (1-based, ascending) present in mask."""
     g = 1
@@ -80,10 +116,9 @@ class Supernumber:
 
     __slots__ = ("order", "_terms")
 
-    def __init__(self, order: int, terms=None, prune_tol: float | None = None):
+    def __init__(self, order: int, terms=None):
         if order < 0 or order > MAX_ORDER or order % 2:
             raise ValueError(f"order must be even and in [0, {MAX_ORDER}], got {order}")
-        tol = PRUNE_TOL if prune_tol is None else prune_tol
         cleaned: dict[int, complex] = {}
         if terms:
             top = 1 << order
@@ -91,7 +126,7 @@ class Supernumber:
                 if not 0 <= mask < top:
                     raise ValueError(f"monomial mask {mask} out of range for order {order}")
                 c = complex(c)
-                if abs(c) > tol:
+                if abs(c) > PRUNE_TOL:
                     cleaned[mask] = c
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_terms", cleaned)
@@ -142,7 +177,7 @@ class Supernumber:
         return self._terms.get(0, 0j)
 
     def soul(self) -> "Supernumber":
-        return Supernumber(self.order, {m: c for m, c in self._terms.items() if m})
+        return _new(self.order, {m: c for m, c in self._terms.items() if m})
 
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None for inhomogeneous or zero-with-no-terms."""
@@ -158,10 +193,10 @@ class Supernumber:
         return all(abs(c) <= tol for c in self._terms.values())
 
     def even_part(self) -> "Supernumber":
-        return Supernumber(self.order, {m: c for m, c in self._terms.items() if not m.bit_count() & 1})
+        return _new(self.order, {m: c for m, c in self._terms.items() if not m.bit_count() & 1})
 
     def odd_part(self) -> "Supernumber":
-        return Supernumber(self.order, {m: c for m, c in self._terms.items() if m.bit_count() & 1})
+        return _new(self.order, {m: c for m, c in self._terms.items() if m.bit_count() & 1})
 
     def is_real_even(self, tol: float | None = None) -> bool:
         """Even and invariant under the hash involution."""
@@ -185,12 +220,12 @@ class Supernumber:
         out = dict(self._terms)
         for m, c in other._terms.items():
             out[m] = out.get(m, 0j) + c
-        return Supernumber(self.order, out)
+        return _pruned(self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Supernumber(self.order, {m: -c for m, c in self._terms.items()}, prune_tol=0.0)
+        return _new(self.order, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -202,20 +237,14 @@ class Supernumber:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Supernumber):
+            if other.order != self.order:
+                raise DimensionMismatch(f"orders differ: {self.order} vs {other.order}")
+            return _sum_of_products(self.order, ((self, other),))
         if isinstance(other, numbers.Complex):
-            return Supernumber(self.order, {m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, Supernumber):
-            return NotImplemented
-        if other.order != self.order:
-            raise DimensionMismatch(f"orders differ: {self.order} vs {other.order}")
-        out: dict[int, complex] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                if ma & mb:
-                    continue  # repeated generator, vanishes
-                m = ma | mb
-                out[m] = out.get(m, 0j) + _merge_sign(ma, mb) * ca * cb
-        return Supernumber(self.order, out)
+            z = complex(other)
+            return _pruned(self.order, {m: c * z for m, c in self._terms.items()})
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Complex):
@@ -249,17 +278,9 @@ class Supernumber:
         """
         out: dict[int, complex] = {}
         for mask, c in self._terms.items():
-            sign = 1
-            gens = []
-            for g in _bits(mask):
-                if g & 1:
-                    gens.append(g + 1)
-                else:
-                    gens.append(g - 1)
-                    sign = -sign
-            s2, m2 = _sort_sign(gens)
-            out[m2] = out.get(m2, 0j) + sign * s2 * c.conjugate()
-        return Supernumber(self.order, out, prune_tol=0.0)
+            sign, m2 = _hash_image(mask)
+            out[m2] = c.conjugate() if sign > 0 else -c.conjugate()
+        return _new(self.order, out)
 
     def star(self) -> "Supernumber":
         """Star involution: order-reversing, eta_i <-> eta_i* on the paired slots."""
@@ -269,7 +290,7 @@ class Supernumber:
             gens.reverse()
             s2, m2 = _sort_sign(gens)
             out[m2] = out.get(m2, 0j) + s2 * c.conjugate()
-        return Supernumber(self.order, out, prune_tol=0.0)
+        return _new(self.order, out)
 
     # -- rendering ---------------------------------------------------------
 
@@ -301,8 +322,47 @@ def _fmt_complex(c: complex) -> str:
     return f"({c.real:g}{c.imag:+g}i)"
 
 
-def mul(a: Supernumber, b: Supernumber) -> Supernumber:
-    return a * b
+_set_order = Supernumber.order.__set__
+_set_terms = Supernumber._terms.__set__
+
+
+def _new(order: int, terms: dict[int, complex]) -> Supernumber:
+    """Internal constructor for arithmetic results: the masks are in range,
+    the coefficients complex and already past the zero rule."""
+    out = object.__new__(Supernumber)
+    _set_order(out, order)
+    _set_terms(out, terms)
+    return out
+
+
+def _pruned(order: int, terms: dict[int, complex]) -> Supernumber:
+    """Apply the zero rule (drop |c| <= PRUNE_TOL) once, to a finished result."""
+    return _new(order, {m: c for m, c in terms.items() if abs(c) > PRUNE_TOL})
+
+
+def _sum_of_products(order: int, pairs) -> Supernumber:
+    """sum_t a_t * b_t over (a_t, b_t) pairs of one order, accumulated in
+    one dict and pruned once; the operands' orders are not checked."""
+    out: dict[int, complex] = {}
+    get = out.get
+    above = _ABOVE
+    for a, b in pairs:
+        bt = b._terms
+        if not bt:
+            continue
+        for ma, ca in a._terms.items():
+            sa = above.get(ma)
+            if sa is None:
+                sa = _above(ma)
+            for mb, cb in bt.items():
+                if ma & mb:
+                    continue  # repeated generator, vanishes
+                m = ma | mb
+                if (sa & mb).bit_count() & 1:
+                    out[m] = get(m, 0j) - ca * cb
+                else:
+                    out[m] = get(m, 0j) + ca * cb
+    return _pruned(order, out)
 
 
 def berezin(a: Supernumber, g: int) -> Supernumber:
@@ -321,7 +381,7 @@ def berezin(a: Supernumber, g: int) -> Supernumber:
             continue
         sign = -1 if (mask & below).bit_count() & 1 else 1
         out[mask ^ bit] = sign * c
-    return Supernumber(a.order, out, prune_tol=0.0)
+    return _new(a.order, out)
 
 
 def rogers_r1(a: Supernumber) -> float:
@@ -332,13 +392,34 @@ def rogers_r1(a: Supernumber) -> float:
 def modified_rogers(a: Supernumber, tol: float | None = None):
     """Berezin integral of an even element against prod exp(-eta_i eta_i#).
 
+    Linear in a, so it is evaluated as sum_m w[m] a[m].  The weight
+    w[m] = _rogers_integral(e_m) of each even basis monomial is computed
+    on first use and kept in a per-order table (at most 2^(order-1)
+    entries).  Returns a float when the imaginary part is within tol,
+    else the complex value.
+    """
+    if a.parity() != 0:
+        raise ParityError("modified Rogers norm requires an even element")
+    weights = _ROGERS_WEIGHTS.setdefault(a.order, {})
+    val = 0j
+    for mask, c in a._terms.items():
+        w = weights.get(mask)
+        if w is None:
+            w = weights[mask] = _rogers_integral(_new(a.order, {mask: 1.0 + 0j})).real
+        if w:
+            val += w * c
+    tol = COMPARE_TOL if tol is None else tol
+    return val.real if abs(val.imag) <= tol else val
+
+
+def _rogers_integral(a: Supernumber) -> complex:
+    """The definition of the modified Rogers norm of an even element.
+
     The weight factors expand to (1 - eta_i eta_i#) exactly.  Each pair is
     integrated deta_i# then deta_i, pairs ascending; this order makes
     modified_rogers(1 + c*eta*eta#) = 1 - c and normalizes
     modified_rogers(1) = 1.
     """
-    if a.parity() != 0:
-        raise ParityError("modified Rogers norm requires an even element")
     acc = a
     for pair in range(1, a.order // 2 + 1):
         x = pair_product(pair, a.order)
@@ -346,9 +427,10 @@ def modified_rogers(a: Supernumber, tol: float | None = None):
     for pair in range(1, a.order // 2 + 1):
         acc = berezin(acc, 2 * pair)
         acc = berezin(acc, 2 * pair - 1)
-    val = acc.body
-    tol = COMPARE_TOL if tol is None else tol
-    return val.real if abs(val.imag) <= tol else val
+    return acc.body
+
+
+_ROGERS_WEIGHTS: dict[int, dict[int, float]] = {}
 
 
 def pair_product(pair: int, order: int) -> Supernumber:

@@ -9,6 +9,12 @@ produced by the graded tensor product) are equally valid.
 
 Inhomogeneous matrices are formal even+odd sums (declared parity None);
 every parity-sensitive operation acts per homogeneous part.
+
+Results of arithmetic (@, +, entrywise maps, supertranspose) are built by
+an internal constructor that trusts the grid and the parity labels; each
+entry of a product is one fused sum of products (grassmann's
+_sum_of_products), pruned once.  The public constructor keeps all its
+validation.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .grassmann import (
     DimensionMismatch,
     ParityError,
     Supernumber,
+    _sum_of_products,
 )
 import numbers
 
@@ -143,9 +150,8 @@ class Supermatrix:
         return self.entries[i][j]
 
     def _map(self, f, parity) -> "Supermatrix":
-        grid = [[f(e) for e in r] for r in self.entries]
-        return Supermatrix(grid, self.row_parity, self.col_parity, parity,
-                           order=self.order, validate=False)
+        grid = tuple(tuple(f(e) for e in r) for r in self.entries)
+        return _new(grid, self.row_parity, self.col_parity, parity, self.order)
 
     def even_part(self) -> "Supermatrix":
         out = [[e.even_part() if (rp + cp) % 2 == 0 else e.odd_part()
@@ -174,9 +180,9 @@ class Supermatrix:
             return NotImplemented
         self._check_same_shape(other)
         parity = self.parity if self.parity == other.parity else None
-        grid = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        return Supermatrix(grid, self.row_parity, self.col_parity, parity,
-                           order=self.order, validate=False)
+        grid = tuple(tuple(a + b for a, b in zip(ra, rb))
+                     for ra, rb in zip(self.entries, other.entries))
+        return _new(grid, self.row_parity, self.col_parity, parity, self.order)
 
     def __neg__(self):
         return self._map(lambda e: -e, self.parity)
@@ -203,24 +209,15 @@ class Supermatrix:
             raise DimensionMismatch("inner parity labels differ")
         if self.order != other.order:
             raise DimensionMismatch("algebra orders differ")
-        n, k = self.shape
-        m = other.shape[1]
-        zero = Supernumber.zero(self.order)
-        grid = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = zero
-                for t in range(k):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            grid.append(row)
+        order = self.order
+        cols = tuple(zip(*other.entries))
+        grid = tuple(tuple(_sum_of_products(order, zip(row, col)) for col in cols)
+                     for row in self.entries)
         if self.parity is None or other.parity is None:
             parity = None
         else:
             parity = (self.parity + other.parity) % 2
-        return Supermatrix(grid, self.row_parity, other.col_parity, parity,
-                           order=self.order, validate=False)
+        return _new(grid, self.row_parity, other.col_parity, parity, order)
 
     def __eq__(self, other):
         if not isinstance(other, Supermatrix):
@@ -252,10 +249,9 @@ class Supermatrix:
                 else:          # old B block -> new lower block
                     sign = 1 if s else -1
                 e = self.entries[r][c]
-                row.append(e * sign if sign < 0 else e)
-            grid.append(row)
-        return Supermatrix(grid, self.col_parity, self.row_parity, s,
-                           order=self.order, validate=False)
+                row.append(-e if sign < 0 else e)
+            grid.append(tuple(row))
+        return _new(tuple(grid), self.col_parity, self.row_parity, s, self.order)
 
     def hash(self) -> "Supermatrix":
         """Entrywise hash involution (preserves parity labels)."""
@@ -274,6 +270,19 @@ class Supermatrix:
         for r in self.entries:
             lines.append("[ " + " | ".join(str(e).ljust(width) for e in r) + " ]")
         return "\n".join(lines)
+
+
+def _new(entries, row_parity, col_parity, parity, order) -> Supermatrix:
+    """Internal constructor for arithmetic results: entries is a tuple of
+    row tuples of Supernumbers of one order, and the parity labels are
+    tuples of 0/1 that match it."""
+    out = object.__new__(Supermatrix)
+    object.__setattr__(out, "order", order)
+    object.__setattr__(out, "row_parity", row_parity)
+    object.__setattr__(out, "col_parity", col_parity)
+    object.__setattr__(out, "entries", entries)
+    object.__setattr__(out, "parity", parity)
+    return out
 
 
 def supertranspose(s: Supermatrix) -> Supermatrix:

@@ -9,6 +9,10 @@ picked up when an odd coefficient part crosses an odd ket.
 
 Valid states are even: every coefficient is homogeneous of the same
 parity as its basis ket.
+
+Local operations on two parties never form the 9x9 graded Kronecker
+product: apply_local contracts Bob's group element with his digit and
+then Alice's with hers, folding the Koszul sign into Alice's entries.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from .grassmann import (
     DimensionMismatch,
     ParityError,
     Supernumber,
+    _sum_of_products,
     modified_rogers,
     pair_product,
 )
-from .supermatrix import Supermatrix, graded_kron
+from .supermatrix import Supermatrix
 from .uosp import VEC_PARITY, s_matrix, u_matrix
 
 BULLET = "•"
@@ -320,15 +325,36 @@ def apply(state: SuperState, z: Supermatrix) -> SuperState:
 
 
 def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperState:
-    """Act with Z_A (x) Z_B on a two-party state."""
+    """Act with Z_A (x) Z_B on a two-party state.
+
+    Computes graded_kron(z_a, z_b) @ column in two passes over the right
+    coordinates v[j, l]: Bob's w[j, k] = sum_l b_kl v_jl, then Alice's
+    r[i, k] = sum_j (-1)^((|i|+|j|)|k|) a_ij w[j, k], each entry one fused
+    sum of products.
+    """
     if state.parties != 2:
         raise ValueError("apply_local needs a two-party state")
-    m = graded_kron(z_a, z_b)
-    par = tuple(ket_parity(i, 2) for i in range(9))
-    col = Supermatrix.column(state.right_coefficients(), par, 0, order=state.order)
-    res = m @ col
-    return SuperState.from_right([res[i, 0] for i in range(9)], 2,
-                                 pairs=state.pairs, order=state.order, validate=False)
+    if z_a.parity != 0 or z_b.parity != 0:
+        raise ParityError("apply_local needs even group elements")
+    order = state.order
+    for z in (z_a, z_b):
+        if z.order != order:
+            raise DimensionMismatch("algebra orders differ")
+        if z.col_parity != DIGIT_PARITY or len(z.row_parity) != 3:
+            raise DimensionMismatch("apply_local needs 3x3 group elements on (0, 1, bullet)")
+    v = state.right_coefficients()
+    bob = z_b.entries
+    w = [[_sum_of_products(order, zip(bob[k], v[3 * j:3 * j + 3])) for j in range(3)]
+         for k in range(3)]  # w[k][j]
+    # Alice's rows, with the Koszul sign folded in for an odd Bob digit k
+    a_row_par, a_col_par = z_a.row_parity, z_a.col_parity
+    alice = z_a.entries
+    twisted = [[-e if (a_row_par[i] + a_col_par[j]) % 2 else e for j, e in enumerate(row)]
+               for i, row in enumerate(alice)]
+    b_row_par = z_b.row_parity
+    out = [_sum_of_products(order, zip(twisted[i] if b_row_par[k] else alice[i], w[k]))
+           for i in range(3) for k in range(3)]
+    return SuperState.from_right(out, 2, pairs=state.pairs, order=order, validate=False)
 
 
 def density_matrix(state: SuperState) -> Supermatrix:

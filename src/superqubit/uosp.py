@@ -2,8 +2,9 @@
 
 All matrices are 3x3 over the graded basis (|0>, |1>, |bullet>) with
 parities (0, 0, 1).  Generators act in an ambient algebra of order N
-(N=2 single party, N=4 two parties); the anticommuting pair used by the
-odd generators is selected by `pair`.
+(N=2 single party, N=4 two parties); the anticommuting pair whose
+generators multiply the odd generators is selected by the `pair` argument
+of algebra_element, s_matrix and group_element.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ class GroupElementParams:
         return complex(math.cos(self.phi), math.sin(self.phi)) * math.sin(self.theta)
 
 
-def generators(order: int = 2, pair: int = 1):
-    """The five generators (A1, A2, A3, Q1, Q2); A's even, Q's odd."""
+def generators(order: int = 2):
+    """The five generators (A1, A2, A3, Q1, Q2); A's even, Q's odd.
+
+    Their entries are numbers; the generator pair enters only through the
+    odd coefficients that multiply Q1 and Q2 (see algebra_element)."""
     z = Supernumber.zero(order)
 
     def m(rows, parity):
@@ -56,7 +60,7 @@ def generators(order: int = 2, pair: int = 1):
 
 def algebra_element(xi, p: float, order: int = 2, pair: int = 1) -> Supermatrix:
     """xi_1 A1 + xi_2 A2 + xi_3 A3 + zeta Q1 + zeta# Q2 with zeta = p eta."""
-    a1, a2, a3, q1, q2 = generators(order, pair)
+    a1, a2, a3, q1, q2 = generators(order)
     zeta = Supernumber.eta(pair, order) * p
     s = scalar_left(xi[0], a1) + scalar_left(xi[1], a2) + scalar_left(xi[2], a3)
     return s + scalar_left(zeta, q1) + scalar_left(zeta.hash(), q2)

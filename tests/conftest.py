@@ -13,6 +13,13 @@ def max_abs_coeff(a: Supernumber) -> float:
     return max((abs(c) for c in a.terms().values()), default=0.0)
 
 
+def coefficient_gap(a: Supernumber, b: Supernumber) -> float:
+    """Largest coefficient difference of two supernumbers, compared term by
+    term (a subtraction would prune differences below PRUNE_TOL)."""
+    ta, tb = a.terms(), b.terms()
+    return max((abs(ta.get(m, 0j) - tb.get(m, 0j)) for m in ta.keys() | tb.keys()), default=0.0)
+
+
 def matrix_residual(m: Supermatrix) -> float:
     """Largest coefficient magnitude over all entries of a supermatrix."""
     rows, cols = m.shape

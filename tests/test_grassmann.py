@@ -22,6 +22,7 @@ from superqubit.grassmann import (
     modified_rogers,
     pair_product,
     rogers_r1,
+    _rogers_integral,
 )
 
 from conftest import max_abs_coeff, rand_supernumber, supernumbers
@@ -297,6 +298,14 @@ def test_modified_rogers_on_pair_terms():
     val = modified_rogers(one + (0.2 + 0.4j) * x1)
     assert isinstance(val, complex)
     assert abs(val - (1 - (0.2 + 0.4j))) < 1e-15
+
+
+@pytest.mark.parametrize("order", (2, 4, 6))
+def test_modified_rogers_table_matches_berezin_definition(order):
+    rng = random.Random(order)
+    for _ in range(10):
+        a = rand_supernumber(rng, order, parity=0)
+        assert abs(modified_rogers(a) - _rogers_integral(a)) <= 1e-14
 
 
 def test_modified_rogers_factorizes_over_pairs():

@@ -26,6 +26,7 @@ from superqubit.supermatrix import (
 )
 
 from conftest import (
+    coefficient_gap,
     matrix_residual,
     max_abs_coeff,
     rand_supermatrix,
@@ -126,6 +127,22 @@ def test_addition_requires_matching_parities():
 @given(supermatrices(), supermatrices(), supermatrices())
 def test_matmul_associative(a, b, c):
     assert matrix_residual((a @ b) @ c - a @ (b @ c)) < 1e-9
+
+
+@pytest.mark.parametrize("px", (0, 1))
+@pytest.mark.parametrize("py", (0, 1))
+def test_fused_matmul_matches_entrywise_sum_of_products(px, py):
+    rng = random.Random(10 * px + py)
+    x = rand_supermatrix(rng, P3, P3, px, 6)
+    y = rand_supermatrix(rng, P3, P2, py, 6)
+    prod = x @ y
+    assert prod.parity == (px + py) % 2
+    for i in range(3):
+        for j in range(2):
+            naive = Supernumber.zero(6)
+            for t in range(3):
+                naive = naive + x[i, t] * y[t, j]
+            assert coefficient_gap(prod[i, j], naive) <= 1e-14
 
 
 def test_matmul_requires_compatible_layout():

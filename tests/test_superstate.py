@@ -16,7 +16,7 @@ from superqubit.grassmann import (
     modified_rogers,
     pair_product,
 )
-from superqubit.supermatrix import supertrace
+from superqubit.supermatrix import Supermatrix, graded_kron, supertrace
 from superqubit.superstate import (
     BULLET,
     SuperState,
@@ -46,7 +46,7 @@ from superqubit.superstate import (
 )
 from superqubit.uosp import GroupElementParams, group_element, s_matrix, u_matrix
 
-from conftest import matrix_residual, max_abs_coeff
+from conftest import coefficient_gap, matrix_residual, max_abs_coeff, rand_supernumber
 
 ANGLES = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
 DISPLACEMENTS = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
@@ -175,6 +175,18 @@ def test_superqubit_norm_is_exactly_one(p, theta, phi):
     s = superqubit(p, theta, phi)
     nrm = norm_supernumber(s)
     assert set(nrm.terms()) <= {0}  # the nilpotent part cancels identically
+    assert abs(nrm.body - 1) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "every arithmetic result drops coefficients <= PRUNE_TOL: the p^2/2 term of "
+    "gamma (7.2e-15) is dropped while the p^2 cross terms (1.44e-14) are kept, so "
+    "the norm keeps -1.44e-14 eta1 eta1#; dropping only exact zeros instead leaves "
+    "~1e-16 rounding souls on other norms, and a relative rule still leaves souls "
+    "on rotated two-party outcome sums"))
+def test_small_displacement_norm_keeps_pruned_term():
+    nrm = norm_supernumber(superqubit(1.2e-7, 0.7, 0.2))
+    assert set(nrm.terms()) <= {0}
     assert abs(nrm.body - 1) < 1e-12
 
 
@@ -443,6 +455,44 @@ def test_apply_local_matches_kron_order():
     nrm = norm_supernumber(rotated)
     assert set(nrm.terms()) <= {0}
     assert abs(nrm.body - 1) < 1e-13
+
+
+def _random_two_party_state(rng):
+    """Dense random even state over CL_4: odd kets get odd coefficients."""
+    return SuperState(
+        [rand_supernumber(rng, 4, ket_parity(i, 2)) for i in range(9)], 2, order=4)
+
+
+def test_apply_local_matches_graded_kron_oracle():
+    rng = random.Random(53)
+    states = [upsilon(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(4)]
+    states += [_random_two_party_state(rng) for _ in range(8)]
+    par = tuple(ket_parity(i, 2) for i in range(9))
+    for state in states:
+        za, zb = (
+            group_element(GroupElementParams(rng.uniform(-3, 3), rng.uniform(-3, 3),
+                                             rng.uniform(-0.5, 0.5)), order=4, pair=pair)
+            for pair in (1, 2)
+        )
+        rotated = apply_local(state, za, zb)
+        col = Supermatrix.column(state.right_coefficients(), par, 0, order=4)
+        want = graded_kron(za, zb) @ col
+        for i in range(9):
+            assert coefficient_gap(rotated.right_coefficient(i), want[i, 0]) <= 1e-14
+
+
+def test_apply_local_rejects_odd_or_misshapen_factors():
+    ups = upsilon(0.2, 0.3)
+    z = u_matrix(0.4, 0.1, 4)
+    odd = Supermatrix.zeros((0, 0, 1), (0, 0, 1), 4, parity=1)
+    with pytest.raises(ParityError):
+        apply_local(ups, odd, z)
+    with pytest.raises(ParityError):
+        apply_local(ups, z, odd)
+    with pytest.raises(DimensionMismatch):
+        apply_local(ups, z, u_matrix(0.4, 0.1, 2))
+    with pytest.raises(DimensionMismatch):
+        apply_local(ups, Supermatrix.identity((0, 1), 4), z)
 
 
 def test_density_matrix_properties():
