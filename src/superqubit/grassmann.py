@@ -9,9 +9,10 @@ reordering signs reduce to bit arithmetic.
 Arithmetic works on the coefficient dicts directly: a sum of products
 sum_t a_t b_t (a product, one entry of a matrix product) accumulates into
 one dict, and the result is built once, dropping every coefficient with
-|c| <= PRUNE_TOL.  The reordering sign of each factor mask and the hash
-image of each monomial are cached by mask; masks are independent of the
-algebra order, so each cache holds at most 2^MAX_ORDER entries.  The
+|c| <= PRUNE_TOL.  Scaling by a number cancels nothing and keeps every
+term (only exact zeros go).  The reordering sign of each factor mask and
+the hash image of each monomial are cached by mask; masks are independent
+of the algebra order, so each cache holds at most 2^MAX_ORDER entries.  The
 modified Rogers norm is a dot product with a per-order weight table whose
 entries come from applying its Berezin-integral definition to each even
 basis monomial, on first use.
@@ -242,8 +243,9 @@ class Supernumber:
                 raise DimensionMismatch(f"orders differ: {self.order} vs {other.order}")
             return _sum_of_products(self.order, ((self, other),))
         if isinstance(other, numbers.Complex):
+            # scaling cancels nothing: keep every term the operand kept
             z = complex(other)
-            return _pruned(self.order, {m: c * z for m, c in self._terms.items()})
+            return _new(self.order, {m: w for m, c in self._terms.items() if (w := c * z)})
         return NotImplemented
 
     def __rmul__(self, other):

@@ -384,9 +384,10 @@ def compactify(p: float) -> float:
         raise ValueError("displacement must be finite")
     t = p / (2.0 * math.pi)
     c = t - math.floor(t) - 0.5
-    # the fractional part of a tiny negative t rounds up to exactly 1.0;
-    # fold that boundary case back onto the lower edge of the window
-    return -0.5 if c >= 0.5 else c
+    # within rounding of the open upper edge is the lower edge: the fractional
+    # part of a tiny negative t rounds up to 1.0, and p + 2 pi can round onto
+    # a whole turn, so fold those values onto -1/2 to keep the map periodic
+    return -0.5 if c >= 0.5 - 8 * math.ulp(abs(t) + 1.0) else c
 
 
 def is_physical(p: float) -> bool:
