@@ -347,15 +347,12 @@ def _sum_of_products(order: int, pairs) -> Supernumber:
     one dict and pruned once; the operands' orders are not checked."""
     out: dict[int, complex] = {}
     get = out.get
-    above = _ABOVE
     for a, b in pairs:
         bt = b._terms
         if not bt:
             continue
         for ma, ca in a._terms.items():
-            sa = above.get(ma)
-            if sa is None:
-                sa = _above(ma)
+            sa = _above(ma)
             for mb, cb in bt.items():
                 if ma & mb:
                     continue  # repeated generator, vanishes

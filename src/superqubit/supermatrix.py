@@ -10,11 +10,11 @@ produced by the graded tensor product) are equally valid.
 Inhomogeneous matrices are formal even+odd sums (declared parity None);
 every parity-sensitive operation acts per homogeneous part.
 
-Results of arithmetic (@, +, entrywise maps, supertranspose) are built by
-an internal constructor that trusts the grid and the parity labels; each
-entry of a product is one fused sum of products (grassmann's
-_sum_of_products), pruned once.  The public constructor keeps all its
-validation.
+Results of arithmetic (@, +, entrywise maps, even/odd parts, scalar
+multiples, supertranspose, graded_kron) are built by an internal
+constructor that trusts the grid and the parity labels; each entry of a
+product is one fused sum of products (grassmann's _sum_of_products),
+pruned once.  The public constructor always validates.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Supermatrix:
 
     __slots__ = ("order", "row_parity", "col_parity", "entries", "parity")
 
-    def __init__(self, entries, row_parity, col_parity, parity, order=None, validate=True):
+    def __init__(self, entries, row_parity, col_parity, parity, order=None):
         row_parity = _as_parity_tuple(row_parity)
         col_parity = _as_parity_tuple(col_parity)
         if parity not in (0, 1, None):
@@ -80,7 +80,7 @@ class Supermatrix:
         object.__setattr__(self, "col_parity", col_parity)
         object.__setattr__(self, "entries", tuple(grid))
         object.__setattr__(self, "parity", parity)
-        if validate and parity is not None:
+        if parity is not None:
             self._validate()
 
     def __setattr__(self, name, value):
@@ -154,18 +154,16 @@ class Supermatrix:
         return _new(grid, self.row_parity, self.col_parity, parity, self.order)
 
     def even_part(self) -> "Supermatrix":
-        out = [[e.even_part() if (rp + cp) % 2 == 0 else e.odd_part()
-                for cp, e in zip(self.col_parity, row)]
-               for rp, row in zip(self.row_parity, self.entries)]
-        return Supermatrix(out, self.row_parity, self.col_parity, 0,
-                           order=self.order, validate=False)
+        grid = tuple(tuple(e.even_part() if (rp + cp) % 2 == 0 else e.odd_part()
+                           for cp, e in zip(self.col_parity, row))
+                     for rp, row in zip(self.row_parity, self.entries))
+        return _new(grid, self.row_parity, self.col_parity, 0, self.order)
 
     def odd_part(self) -> "Supermatrix":
-        out = [[e.odd_part() if (rp + cp) % 2 == 0 else e.even_part()
-                for cp, e in zip(self.col_parity, row)]
-               for rp, row in zip(self.row_parity, self.entries)]
-        return Supermatrix(out, self.row_parity, self.col_parity, 1,
-                           order=self.order, validate=False)
+        grid = tuple(tuple(e.odd_part() if (rp + cp) % 2 == 0 else e.even_part()
+                           for cp, e in zip(self.col_parity, row))
+                     for rp, row in zip(self.row_parity, self.entries))
+        return _new(grid, self.row_parity, self.col_parity, 1, self.order)
 
     # -- linear structure ----------------------------------------------------
 
@@ -315,11 +313,10 @@ def scalar_left(zeta, s: Supermatrix) -> Supermatrix:
     zp = zeta.parity()
     if zp is None:
         return scalar_left(zeta.even_part(), s) + scalar_left(zeta.odd_part(), s)
-    grid = [[(zeta * e if rp == 0 or zp == 0 else -(zeta * e)) for e in row]
-            for rp, row in zip(s.row_parity, s.entries)]
+    grid = tuple(tuple(zeta * e if rp == 0 or zp == 0 else -(zeta * e) for e in row)
+                 for rp, row in zip(s.row_parity, s.entries))
     parity = None if s.parity is None else (s.parity + zp) % 2
-    return Supermatrix(grid, s.row_parity, s.col_parity, parity,
-                       order=s.order, validate=False)
+    return _new(grid, s.row_parity, s.col_parity, parity, s.order)
 
 
 def scalar_right(s: Supermatrix, zeta) -> Supermatrix:
@@ -329,12 +326,11 @@ def scalar_right(s: Supermatrix, zeta) -> Supermatrix:
     zp = zeta.parity()
     if zp is None:
         return scalar_right(s, zeta.even_part()) + scalar_right(s, zeta.odd_part())
-    grid = [[(e * zeta if cp == 0 or zp == 0 else -(e * zeta))
-             for cp, e in zip(s.col_parity, row)]
-            for row in s.entries]
+    grid = tuple(tuple(e * zeta if cp == 0 or zp == 0 else -(e * zeta)
+                       for cp, e in zip(s.col_parity, row))
+                 for row in s.entries)
     parity = None if s.parity is None else (s.parity + zp) % 2
-    return Supermatrix(grid, s.row_parity, s.col_parity, parity,
-                       order=s.order, validate=False)
+    return _new(grid, s.row_parity, s.col_parity, parity, s.order)
 
 
 def graded_kron(a: Supermatrix, b: Supermatrix) -> Supermatrix:
@@ -362,8 +358,8 @@ def graded_kron(a: Supermatrix, b: Supermatrix) -> Supermatrix:
                 for l in range(mb):
                     e = a.entries[i][j] * b.entries[k][l]
                     row.append(-e if koszul % 2 else e)
-            grid.append(row)
-    return Supermatrix(grid, row_parity, col_parity, 0, order=a.order, validate=False)
+            grid.append(tuple(row))
+    return _new(tuple(grid), row_parity, col_parity, 0, a.order)
 
 
 def exp_nilpotent(s: Supermatrix, tol: float | None = None) -> Supermatrix:

@@ -386,7 +386,9 @@ def compactify(p: float) -> float:
     c = t - math.floor(t) - 0.5
     # within rounding of the open upper edge is the lower edge: the fractional
     # part of a tiny negative t rounds up to 1.0, and p + 2 pi can round onto
-    # a whole turn, so fold those values onto -1/2 to keep the map periodic
+    # a whole turn, so fold those values onto -1/2 to keep the map periodic.
+    # c for p and for p + 2 pi differ by the rounding of p + 2 pi, of each
+    # division and of t - floor(t), under 3 ulp(|t| + 1) in all; 8 is a margin
     return -0.5 if c >= 0.5 - 8 * math.ulp(abs(t) + 1.0) else c
 
 
