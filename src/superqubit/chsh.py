@@ -3,13 +3,18 @@
 Strategies carry two state displacements, per-setting local displacements
 and SU(2) angles for both players.  Evaluation follows the exact
 Grassmann path (superstate.measure_real of the locally rotated shared
-state).  The optimizer uses a dense vectorized evaluator in the regular
-representation of the 4-generator algebra: the 16x16x16 structure tensor,
-built at import time from the exact algebra, turns the coefficients of
-every local group element into its 16x16 left-multiplication matrix with
-one matrix product, both graded contractions are batched matrix products,
-and the hash and the Rogers norm fold into one 16x16 quadratic form.  The
-test suite cross-checks it against the exact path.
+state).  The optimizer uses a dense vectorized evaluator built on the
+graded tensor factorisation CL_4 = CL_2 (x) CL_2 of the two players'
+generator pairs.  A coefficient vector is a 4x4 array [Bob's monomial,
+Alice's monomial]; an entry of Alice's group element multiplies it from
+the right by a 4x4 matrix of CL_2, one of Bob's from the left up to a
+constant sign.  Each local group element is linear in 12 products of
+trigonometric features of its angles with powers of its displacement, so
+one matrix product against tables built at import time from the exact
+algebra gives every player's 12x12 left-multiplication table; two more
+apply Bob and then Alice to the shared state, and the hash and the Rogers
+norm fold into one 16x16 quadratic form.  The test suite cross-checks it
+against the exact path.
 
 Winning rule: outcomes 1 and bullet both announce bit 1; the players win
 when a XOR b = i AND j, each referee question pair weighted 1/4.
@@ -169,7 +174,22 @@ def oracle_win_prob(strat: Strategy) -> float:
     return 0.25 * total
 
 
-# -- vectorized evaluator: regular representation of the 4-generator algebra --
+# -- vectorized evaluator: CL_4 = CL_2 (x) CL_2, one factor per party ---------
+#
+# A coefficient vector over CL_4 is a 4x4 array [beta, alpha] with monomial
+# mask alpha | beta << 2: alpha runs over Alice's generator pair, beta over
+# Bob's.  Alice's generators come first, so e_x e_y = (-1)^(|beta_x| |alpha_y|)
+# (e_alpha_x e_alpha_y) (e_beta_x e_beta_y).  Left multiplication by an entry
+# a of Alice's group element is X -> X @ L1(a); by an entry b of Bob's it is
+# X -> (-1)^(|b| |alpha|) * (L2(b)^T X), where L1 and L2 are the 4x4
+# left-multiplication matrices of each factor CL_2.
+#
+# Every monomial of the shared state's entry on ket (j, l) has an alpha of
+# parity |j|, and Bob's entries, which act on beta alone, keep it so.  With
+# |B_kl| = |k| + |l|, Bob's sign and the graded Kronecker sign
+# (-1)^((|i| + |j|) |k|) of Alice's entry A_ij multiply to
+# (-1)^(|j| |l|) (-1)^(|i| |k|).  The first sits in the state (_upsilon_right);
+# the second flips a whole amplitude, which its norm does not see.
 
 
 def _dense(m: Supermatrix) -> np.ndarray:
@@ -200,80 +220,104 @@ def _build_kernel_tables():
     powers = []
     for pair in (1, 2):
         s0, plus, minus = (_dense(s_matrix(p, 4, pair)) for p in (0.0, 1.0, -1.0))
-        powers.append(np.stack((s0, (plus - minus) / 2, (plus + minus) / 2 - s0)).reshape(3, 144))
-    return m, kh, np.stack((powers[0], powers[0], powers[1], powers[1]))
+        powers.append(np.stack((s0, (plus - minus) / 2, (plus + minus) / 2 - s0)))
+    return m, kh, np.stack(powers)
 
 
-# _S_POWERS[setting] holds the p^0, p^1, p^2 tables of Alice's two settings
-# (generator pair 1), then Bob's two (pair 2)
+# _S_POWERS[party, n, row, col, monomial]: the p^n part of S(2 p eta) on
+# Alice's generator pair (party 0) and on Bob's (party 1)
 _M, _KH, _S_POWERS = _build_kernel_tables()
-_LEFT = _M.reshape(16, 256)  # coefficients @ _LEFT = left-multiplication matrices
+# _KH on coefficients with interleaved real and imaginary parts: _KH is real,
+# so the real part of x @ _KH @ conj(x) is re @ _KH @ re + im @ _KH @ im
+_KH_RE_IM = np.kron(_KH, np.eye(2))
 
-# graded Kronecker sign (-1)^((|i| + |j|) |k|) of Alice's entry (i, j) against
-# Bob's row k, with parities (0, 0, 1); laid out [i, 1, k, j, 1] to broadcast
-# over [i, Bob setting, k, j, monomial]
-_VP = np.array([0, 0, 1])
-_SIGN = np.where(
-    (_VP[:, None, None] + _VP[None, None, :]) * _VP[None, :, None] % 2, -1.0, 1.0
-)[:, None, :, :, None]
+
+def _build_local_tables():
+    """Left-multiplication tables of the local group elements Z = S U,
+    linear in the 12 products of [1, cos theta, sin theta cos phi,
+    sin theta sin phi] (U) with [1, p, p^2] (S).
+
+    Alice's table [(q, n), (j, alpha, i, alpha')] holds L1(Z_ij), Bob's
+    [(q, n), (k, beta', l, beta)] holds L2(Z_kl)^T.  Each party's S has
+    monomials of its own factor only: masks 0..3 for Alice, 0, 4, 8, 12
+    for Bob.
+    """
+    # U(theta, phi) = [[a, -conj(b), 0], [b, a, 0], [0, 0, 1]] with
+    # a = cos(theta), b = e^(i phi) sin(theta)
+    u = np.array([
+        [0, 0, 0, 0, 0, 0, 0, 0, 1],
+        [1, 0, 0, 0, 1, 0, 0, 0, 0],
+        [0, -1, 0, 1, 0, 0, 0, 0, 0],
+        [0, 1j, 0, 1j, 0, 0, 0, 0, 0],
+    ]).reshape(4, 3, 3)
+    alice = np.einsum("nima,abc,qmj->qnjbic", _S_POWERS[0, ..., :4], _M[:4, :4, :4], u)
+    bob = np.einsum("nkmb,bcd,qml->qnkdlc", _S_POWERS[1, ..., ::4], _M[::4, ::4, ::4], u)
+    return np.stack((alice.reshape(12, 144), bob.reshape(12, 144)))
+
+
+_LOCAL = _build_local_tables()
+_P_POWERS = np.arange(3)
 
 # measurement prefactor per composite outcome: (-1)^|ket| times the
-# bra-reordering sign (-1 when both outcomes are bullet); laid out
-# [Alice digit, 1, Bob digit]
+# bra-reordering sign (-1 when both outcomes are bullet)
 _PREF = np.array([
     (-1.0 if ket_parity(ix, 2) else 1.0) * (-1.0 if digits_of(ix, 2) == (2, 2) else 1.0)
     for ix in range(9)
-]).reshape(3, 1, 3)
+])
 
 
-def _group_coefficients(p: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Coefficients [setting, row, col, monomial] of the four local group
-    elements S(2 p eta) U(theta, phi), Alice's two settings then Bob's."""
-    a = np.cos(theta)
-    b = np.exp(1j * phi) * np.sin(theta)
-    u = np.zeros((4, 3, 3), dtype=complex)
-    u[:, 0, 0] = u[:, 1, 1] = a
-    u[:, 0, 1] = -b.conj()
-    u[:, 1, 0] = b
-    u[:, 2, 2] = 1.0
-    s = (np.stack((np.ones(4), p, p * p), axis=-1)[:, None] @ _S_POWERS).reshape(4, 3, 3, 16)
-    # z_rc = sum_m s_rm u_mc: u has no soul, so it commutes past s
-    return u.transpose(0, 2, 1)[:, None] @ s
+def _local_coefficients(vec: np.ndarray) -> np.ndarray:
+    """Coordinates [party, setting, (q, n)] of the four local group elements
+    on the basis of _LOCAL, from the displacements r, s and the eight angles."""
+    # eight angles: math on Python floats costs less than numpy's per-call
+    # overhead, and it is the same libm the exact path (uosp.u_matrix) uses
+    features = []
+    angles = vec[4:].tolist()
+    for theta, phi in zip(angles[::2], angles[1::2]):
+        s = math.sin(theta)
+        features += (1.0, math.cos(theta), s * math.cos(phi), s * math.sin(phi))
+    powers = vec[:4, None] ** _P_POWERS
+    return (np.array(features).reshape(4, 4, 1) * powers[:, None]).reshape(2, 2, 12)
 
 
 def _upsilon_right(pa: float, pb: float) -> np.ndarray:
-    """Right coordinates of the shared state as a dense [3,3,16] array
-    indexed (Alice digit, Bob digit, monomial mask)."""
-    v = np.zeros((3, 3, 16))
+    """Right coordinates of the shared state as a [12, 12] array indexed
+    ((Bob digit l, beta), (Alice digit j, alpha)), times (-1)^(|j| |l|):
+    the |bullet bullet> entry -p_A p_B eta_A eta_B changes sign."""
+    v = np.zeros((3, 4, 3, 4), dtype=complex)
     c = 1.0 / math.sqrt(2.0)
     ha, hb = 0.5 * pa * pa, 0.5 * pb * pb
-    for d in (0, 1):
-        v[d, d, 0] = c
-        v[d, d, 3] = c * ha
-        v[d, d, 12] = c * hb
-        v[d, d, 15] = c * ha * hb
-    v[1, 2, 4] = -pb
-    v[1, 2, 7] = -pb * ha
-    v[2, 1, 1] = -pa
-    v[2, 1, 13] = -pa * hb
-    v[2, 2, 5] = -pa * pb
-    return v
+    for d in (0, 1):  # G_A G_B / sqrt(2) on |00> and |11>
+        v[d, 0, d, 0] = c
+        v[d, 0, d, 3] = c * ha
+        v[d, 3, d, 0] = c * hb
+        v[d, 3, d, 3] = c * ha * hb
+    v[2, 1, 1, 0] = -pb
+    v[2, 1, 1, 3] = -pb * ha
+    v[1, 0, 2, 1] = -pa
+    v[1, 3, 2, 1] = -pa * hb
+    v[2, 1, 2, 1] = pa * pb
+    return v.reshape(12, 12)
+
+
+def _fast_amplitudes(vec: np.ndarray) -> np.ndarray:
+    """Right coordinates [(I, J, i, k), monomial] of the shared state after
+    the local group elements of Alice's setting I and Bob's setting J, the
+    entry of ket (i, k) times (-1)^(|i| |k|)."""
+    # alice[I, (j, alpha), (i, alpha')], bob[J, (k, beta'), (l, beta)]
+    alice, bob = (_local_coefficients(vec[2:]) @ _LOCAL).reshape(2, 2, 12, 12)
+    # Bob acts first: w[J, (k, beta'), (j, alpha)] = sum_l B_kl v_jl
+    w = bob @ _upsilon_right(vec[0], vec[1])
+    # then Alice: res[I, (J, k, beta), (i, alpha)] = sum_j A_ij w_kj,
+    # regrouped by ket with monomial masks alpha | beta << 2
+    res = (w.reshape(24, 12) @ alice).reshape(2, 2, 3, 4, 3, 4)
+    return res.transpose(0, 1, 4, 2, 3, 5).reshape(36, 16)
 
 
 def _fast_tables(vec: np.ndarray) -> np.ndarray:
     """All four 9-outcome probability tables (rows ordered 00, 01, 10, 11)."""
-    z = _group_coefficients(vec[2:6], vec[6::2], vec[7::2]).reshape(36, 16)
-    # _LEFT is real: two real products cost less than one complex one
-    left = np.empty((36, 256), dtype=complex)
-    left.real = z.real @ _LEFT
-    left.imag = z.imag @ _LEFT
-    la, lb = left.reshape(2, 2, 3, 48, 16)  # per party [setting, row, (col, y), z]
-    # Bob first: w1[J, k, j] = sum_l b^J_kl v_jl
-    w1 = _upsilon_right(vec[0], vec[1]).reshape(3, 48) @ lb
-    # then Alice: res[I, i, (J, k)] = sum_j sign(i, j, k) a^I_ij w1[J, k, j]
-    res = (_SIGN * w1).reshape(3, 6, 48) @ la
-    probs = ((res @ _KH) * res.conj()).sum(-1).real.reshape(2, 3, 2, 3)
-    return (probs * _PREF).transpose(0, 2, 1, 3).reshape(4, 9)
+    res = _fast_amplitudes(vec).view(float)  # real and imaginary parts interleaved
+    return ((res @ _KH_RE_IM) * res).sum(-1).reshape(4, 9) * _PREF
 
 
 def fast_outcome_tables(strat: Strategy) -> np.ndarray:
@@ -290,7 +334,7 @@ _WIN_WEIGHTS = 0.25 * np.array(
 
 def _pwin_from_tables(t) -> float:
     """Win probability from the four tables, as nested sequences or a (4, 9) array."""
-    return float(np.asarray(t, dtype=float).reshape(36) @ _WIN_WEIGHTS)
+    return float(np.asarray(t, dtype=float).ravel() @ _WIN_WEIGHTS)
 
 
 def _table_violation(t: np.ndarray) -> float:
@@ -332,7 +376,7 @@ def _embed(x: np.ndarray, quantum_only: bool) -> np.ndarray:
     """Full strategy vector of a search point, displacements held in the box."""
     if quantum_only:
         return np.concatenate((np.zeros(6), x))
-    return np.clip(x, _LOWER, _UPPER)
+    return np.minimum(np.maximum(x, _LOWER), _UPPER)
 
 
 def _objective(penalty: float, quantum_only: bool):

@@ -66,8 +66,19 @@ def label_of(index: int, parties: int, ascii_bullet: bool = False) -> str:
     return "".join(marks[d] for d in digits_of(index, parties))
 
 
+def _ket_table(f) -> dict[int, tuple[int, ...]]:
+    """f(digits) of every basis ket, per number of parties."""
+    return {k: tuple(f(digits_of(i, k)) for i in range(3 ** k)) for k in (1, 2)}
+
+
+_KET_PARITY = _ket_table(lambda ds: sum(DIGIT_PARITY[d] for d in ds) % 2)
+_METRIC_SIGN = _ket_table(lambda ds: -1 if ds == (2, 2) else 1)
+# o bullet outcomes contribute (-1)^(o(o-1)/2)
+_KAPPA = _ket_table(lambda ds: (-1) ** (ds.count(2) * (ds.count(2) - 1) // 2))
+
+
 def ket_parity(index: int, parties: int) -> int:
-    return sum(DIGIT_PARITY[d] for d in digits_of(index, parties)) % 2
+    return _KET_PARITY[parties][index]
 
 
 def _flip_odd(c: Supernumber) -> Supernumber:
@@ -78,16 +89,13 @@ def _flip_odd(c: Supernumber) -> Supernumber:
 
 def metric_sign(index: int, parties: int) -> int:
     """Diagonal metric: +1 everywhere except -1 at the two-party |••>."""
-    if parties == 2 and digits_of(index, 2) == (2, 2):
-        return -1
-    return 1
+    return _METRIC_SIGN[parties][index]
 
 
 def _kappa(index: int, parties: int) -> int:
     """Bra-reordering sign in the measurement rule: counts bullet outcomes o
     and contributes (-1)^(o(o-1)/2); -1 exactly for the two-party |••>."""
-    o = sum(1 for d in digits_of(index, parties) if d == 2)
-    return -1 if (o * (o - 1) // 2) % 2 else 1
+    return _KAPPA[parties][index]
 
 
 class SuperState:

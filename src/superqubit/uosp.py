@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .grassmann import Supernumber, pair_product
-from .supermatrix import Supermatrix, exp_nilpotent, scalar_left
+from .supermatrix import Supermatrix, _new, exp_nilpotent, scalar_left
 
 VEC_PARITY = (0, 0, 1)
 
@@ -79,12 +79,12 @@ def s_matrix(p: float, order: int = 2, pair: int = 1) -> Supermatrix:
     one = Supernumber.one(order)
     z = Supernumber.zero(order)
     gamma = one + x * (p * p / 2.0)
-    rows = [
-        [gamma, z, etah * (-p)],
-        [z, gamma, eta * (-p)],
-        [eta * p, etah * (-p), one - x * (p * p)],
-    ]
-    return Supermatrix(rows, VEC_PARITY, VEC_PARITY, 0, order=order)
+    rows = (
+        (gamma, z, etah * (-p)),
+        (z, gamma, eta * (-p)),
+        (eta * p, etah * (-p), one - x * (p * p)),
+    )
+    return _new(rows, VEC_PARITY, VEC_PARITY, 0, order)
 
 
 def u_matrix_from_amplitudes(alpha, beta, order: int = 2, tol: float = 1e-12) -> Supermatrix:
@@ -95,12 +95,12 @@ def u_matrix_from_amplitudes(alpha, beta, order: int = 2, tol: float = 1e-12) ->
         raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
     z = Supernumber.zero(order)
     one = Supernumber.one(order)
-    rows = [
-        [Supernumber.from_complex(alpha, order), Supernumber.from_complex(-beta.conjugate(), order), z],
-        [Supernumber.from_complex(beta, order), Supernumber.from_complex(alpha.conjugate(), order), z],
-        [z, z, one],
-    ]
-    return Supermatrix(rows, VEC_PARITY, VEC_PARITY, 0, order=order)
+    rows = (
+        (Supernumber.from_complex(alpha, order), Supernumber.from_complex(-beta.conjugate(), order), z),
+        (Supernumber.from_complex(beta, order), Supernumber.from_complex(alpha.conjugate(), order), z),
+        (z, z, one),
+    )
+    return _new(rows, VEC_PARITY, VEC_PARITY, 0, order)
 
 
 def u_matrix(theta: float, phi: float, order: int = 2) -> Supermatrix:

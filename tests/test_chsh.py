@@ -2,6 +2,7 @@
 plain complex-amplitude cross-check, classical and rotation-only baselines,
 and the penalized multi-start optimizer."""
 
+import itertools
 import math
 import random
 import warnings
@@ -11,6 +12,7 @@ import pytest
 
 from superqubit.chsh import (
     _KH,
+    _LOCAL,
     _M,
     BOX_LIMIT,
     OUTCOME_LABELS,
@@ -19,7 +21,8 @@ from superqubit.chsh import (
     WIN_SAME,
     OptimizeConfig,
     Strategy,
-    _group_coefficients,
+    _fast_amplitudes,
+    _local_coefficients,
     best_classical_win_prob,
     constraint_violation,
     fast_outcome_tables,
@@ -31,7 +34,7 @@ from superqubit.chsh import (
     win_prob,
 )
 from superqubit.grassmann import Supernumber, modified_rogers
-from superqubit.superstate import index_of
+from superqubit.superstate import DIGIT_PARITY, apply_local, digits_of, index_of, upsilon
 from superqubit.uosp import s_matrix, u_matrix
 
 from conftest import rand_supernumber
@@ -122,12 +125,35 @@ def test_fast_tables_match_exact_evaluator():
     for _ in range(4):
         edge = [rng.choice((-BOX_LIMIT, BOX_LIMIT)) for _ in range(6)]
         strategies.append(Strategy.from_vector(edge + _random_strategy(rng).to_vector()[6:]))
+    # Nelder-Mead leaves the angles unbounded
+    for scale in (50.0, 1e3):
+        for _ in range(4):
+            angles = [rng.uniform(-scale, scale) for _ in range(8)]
+            strategies.append(Strategy.from_vector(_random_strategy(rng).to_vector()[:6] + angles))
     for strat in strategies:
         fast = fast_outcome_tables(strat)
         assert fast.shape == (4, 9)
         for row, (i, j) in enumerate(SETTINGS):
             exact = outcome_probs(i, j, strat)
             assert np.max(np.abs(fast[row] - np.asarray(exact))) < 1e-13
+
+
+def test_fast_amplitudes_match_apply_local():
+    # the probabilities cannot see a sign that depends only on Bob's
+    # monomials, so the Koszul signs are checked on the amplitudes
+    rng = random.Random(19)
+    for _ in range(4):
+        strat = _random_strategy(rng)
+        fast = _fast_amplitudes(np.asarray(strat.to_vector())).reshape(4, 9, 16)
+        for row, (i, j) in enumerate(SETTINGS):
+            za = local_rotation(strat.r[i], *strat.alice[i], pair=1)
+            zb = local_rotation(strat.s[j], *strat.bob[j], pair=2)
+            state = apply_local(upsilon(strat.p_a, strat.p_b), za, zb)
+            for ket in range(9):
+                a, b = digits_of(ket, 2)
+                sign = -1.0 if DIGIT_PARITY[a] * DIGIT_PARITY[b] else 1.0
+                want = sign * _coefficients(state.right_coefficient(ket))
+                assert np.max(np.abs(fast[row, ket] - want)) <= 1e-14
 
 
 def _coefficients(x: Supernumber) -> np.ndarray:
@@ -151,14 +177,35 @@ def test_kernel_tables_reproduce_exact_algebra():
             c = _coefficients(h)
             assert (c @ _KH @ c.conj()).real == pytest.approx(
                 modified_rogers(h * h.hash()).real, abs=1e-14)
-    # coefficients of the local group elements against the exact supermatrices
-    p, theta, phi = (np.array([rng.uniform(-1, 1) for _ in range(4)]) for _ in range(3))
-    z = _group_coefficients(p, theta, phi)
-    for s in range(4):
-        exact = local_rotation(p[s], theta[s], phi[s], pair=1 + s // 2)
-        for r in range(3):
-            for c in range(3):
-                assert np.max(np.abs(z[s, r, c] - _coefficients(exact[r, c]))) <= 1e-14
+    # CL_4 = CL_2 (x) CL_2 on masks alpha | beta << 2: e_x e_y is
+    # (-1)^(|beta_x| |alpha_y|) (e_alpha_x e_alpha_y) (e_beta_x e_beta_y), exactly
+    m1, m2 = _M[:4, :4, :4], _M[::4, ::4, ::4]
+    parity = (0, 1, 1, 0)
+    for x, y in np.ndindex(16, 16):
+        (bx, ax), (by, ay) = divmod(x, 4), divmod(y, 4)
+        sign = -1.0 if parity[bx] * parity[ay] else 1.0
+        assert np.array_equal(_M[x, y].reshape(4, 4), sign * np.outer(m2[bx, by], m1[ax, ay]))
+    # each player's left-multiplication tables against products with the
+    # entries of the exact group elements: random angles, then none
+    for angle_scale in (3.0, 0.0):
+        vec = np.array([rng.uniform(-1, 1) for _ in range(4)]
+                       + [rng.uniform(-angle_scale, angle_scale) for _ in range(8)])
+        alice, bob = (_local_coefficients(vec) @ _LOCAL).reshape(2, 2, 3, 4, 3, 4)
+        for setting in range(2):
+            za = local_rotation(vec[setting], vec[4 + 2 * setting], vec[5 + 2 * setting], pair=1)
+            zb = local_rotation(vec[2 + setting], vec[8 + 2 * setting], vec[9 + 2 * setting], pair=2)
+            if angle_scale == 0.0:
+                assert za == s_matrix(vec[setting], 4, 1)
+                assert zb == s_matrix(vec[2 + setting], 4, 2)
+            for r, c, m in itertools.product(range(3), range(3), range(4)):
+                # Alice: z_rc e_alpha = sum_alpha' alice[c, alpha, r, alpha'] e_alpha'
+                want = _coefficients(za[r, c] * Supernumber(4, {m: 1.0})).reshape(4, 4)
+                assert np.max(np.abs(want[0] - alice[setting, c, m, r])) <= 1e-14
+                assert not want[1:].any()
+                # Bob: z_rc e_beta = sum_beta' bob[r, beta', c, beta] e_beta'
+                want = _coefficients(zb[r, c] * Supernumber(4, {m << 2: 1.0})).reshape(4, 4)
+                assert np.max(np.abs(want[:, 0] - bob[setting, r, :, c, m])) <= 1e-14
+                assert not want[:, 1:].any()
 
 
 def test_tsirelson_strategy_reaches_quantum_bound():
