@@ -8,15 +8,9 @@ reordering signs reduce to bit arithmetic.
 
 Arithmetic works on the coefficient dicts directly: a sum of products
 sum_t a_t b_t (a product, one entry of a matrix product) accumulates into
-one dict, and the result is built once under one zero rule: a coefficient
-c is dropped when |c| <= PRUNE_TOL and |c| <= CANCEL_TOL * sum_t |a_t b_t|
-over the terms summed into its monomial (|a_m| + |b_m| for a sum), i.e.
-only when it is small and what is left of a cancellation.  A small term
-that no cancellation produced (the p^2/2 term of a tiny displacement) is
-kept, so the identities that depend on it stay exact.  Scaling by a
-number cancels nothing, so under the same rule it drops only exact zeros.
-The public constructor validates its input and drops |c| <= PRUNE_TOL.
-The reordering sign of each factor mask and
+one dict, and the result is built once, dropping every coefficient with
+|c| <= PRUNE_TOL.  Scaling by a number cancels nothing and keeps every
+term (only exact zeros go).  The reordering sign of each factor mask and
 the hash image of each monomial are cached by mask; masks are independent
 of the algebra order, so each cache holds at most 2^MAX_ORDER entries.  The
 modified Rogers norm is a dot product with a per-order weight table whose
@@ -31,7 +25,6 @@ from __future__ import annotations
 import numbers
 
 PRUNE_TOL = 1e-14
-CANCEL_TOL = 1e-10
 COMPARE_TOL = 1e-12
 MAX_ORDER = 16
 
@@ -225,19 +218,10 @@ class Supernumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        mine = self._terms
-        out = dict(mine)
+        out = dict(self._terms)
         for m, c in other._terms.items():
-            mc = mine.get(m)
-            if mc is None:
-                out[m] = c
-                continue
-            s = mc + c
-            if abs(s) <= PRUNE_TOL and abs(s) <= CANCEL_TOL * (abs(mc) + abs(c)):
-                del out[m]  # the residue of a cancellation
-            else:
-                out[m] = s
-        return _new(self.order, out)
+            out[m] = out.get(m, 0j) + c
+        return _pruned(self.order, out)
 
     __radd__ = __add__
 
@@ -353,15 +337,14 @@ def _new(order: int, terms: dict[int, complex]) -> Supernumber:
     return out
 
 
+def _pruned(order: int, terms: dict[int, complex]) -> Supernumber:
+    """Apply the zero rule (drop |c| <= PRUNE_TOL) once, to a finished result."""
+    return _new(order, {m: c for m, c in terms.items() if abs(c) > PRUNE_TOL})
+
+
 def _sum_of_products(order: int, pairs) -> Supernumber:
     """sum_t a_t * b_t over (a_t, b_t) pairs of one order, accumulated in
-    one dict under the zero rule; the operands' orders are not checked.
-
-    sum_t |a_t b_t| is only needed for the few monomials whose coefficient
-    ends up at most PRUNE_TOL, so it is summed in a second pass over the
-    pairs, for those monomials only, when there are any.
-    """
-    pairs = tuple(pairs)
+    one dict and pruned once; the operands' orders are not checked."""
     out: dict[int, complex] = {}
     get = out.get
     for a, b in pairs:
@@ -378,25 +361,7 @@ def _sum_of_products(order: int, pairs) -> Supernumber:
                     out[m] = get(m, 0j) - ca * cb
                 else:
                     out[m] = get(m, 0j) + ca * cb
-    size: dict[int, float] = {}
-    for m, c in tuple(out.items()):
-        if abs(c) <= PRUNE_TOL:
-            if c:
-                size[m] = 0.0
-            else:
-                del out[m]  # an exact zero needs no scale
-    if size:
-        for a, b in pairs:
-            bt = b._terms
-            for ma, ca in a._terms.items():
-                for mb, cb in bt.items():
-                    m = ma | mb
-                    if m in size and not ma & mb:
-                        size[m] += abs(ca * cb)
-        for m, total in size.items():
-            if abs(out[m]) <= CANCEL_TOL * total:
-                del out[m]
-    return _new(order, out)
+    return _pruned(order, out)
 
 
 def berezin(a: Supernumber, g: int) -> Supernumber:
@@ -423,16 +388,14 @@ def rogers_r1(a: Supernumber) -> float:
     return sum(abs(c) for c in a._terms.values())
 
 
-def modified_rogers(a: Supernumber):
+def modified_rogers(a: Supernumber, tol: float | None = None):
     """Berezin integral of an even element against prod exp(-eta_i eta_i#).
 
     Linear in a, so it is evaluated as sum_m w[m] a[m].  The weight
     w[m] = _rogers_integral(e_m) of each even basis monomial is computed
     on first use and kept in a per-order table (at most 2^(order-1)
-    entries).  Returns a float when the value is real (the weights are
-    real, so whenever every coefficient is), else the complex value; no
-    imaginary part is dropped, so the map stays linear.  Callers that know
-    the value is real, such as transition_real, take its real part.
+    entries).  Returns a float when the imaginary part is within tol,
+    else the complex value.
     """
     if a.parity() != 0:
         raise ParityError("modified Rogers norm requires an even element")
@@ -444,7 +407,8 @@ def modified_rogers(a: Supernumber):
             w = weights[mask] = _rogers_integral(_new(a.order, {mask: 1.0 + 0j})).real
         if w:
             val += w * c
-    return val if val.imag else val.real
+    tol = COMPARE_TOL if tol is None else tol
+    return val.real if abs(val.imag) <= tol else val
 
 
 def _rogers_integral(a: Supernumber) -> complex:

@@ -14,7 +14,7 @@ Results of arithmetic (@, +, entrywise maps, even/odd parts, scalar
 multiples, supertranspose, graded_kron) are built by an internal
 constructor that trusts the grid and the parity labels; each entry of a
 product is one fused sum of products (grassmann's _sum_of_products),
-under grassmann's zero rule.  The public constructor always validates.
+pruned once.  The public constructor always validates.
 """
 
 from __future__ import annotations

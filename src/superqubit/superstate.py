@@ -28,7 +28,7 @@ from .grassmann import (
     pair_product,
 )
 from .supermatrix import Supermatrix
-from .uosp import VEC_PARITY, effective_displacement, s_matrix, u_matrix
+from .uosp import VEC_PARITY, s_matrix, u_matrix
 
 BULLET = "•"
 DIGIT_LABELS = ("0", "1", BULLET)
@@ -233,10 +233,8 @@ def upsilon(p_a: float, p_b: float, order: int = 4) -> SuperState:
 
     Left-pulled coefficients: G_A G_B/sqrt(2) on |00> and |11>,
     p_B eta_B G_A on |1•>, p_A eta_A G_B on |•1>, -p_A p_B eta_A eta_B
-    on |••>, where G_i = 1 + p_i^2/2 eta_i eta_i#.  |p_i| < MIN_DISPLACEMENT
-    acts as 0, as in s_matrix.
+    on |••>, where G_i = 1 + p_i^2/2 eta_i eta_i#.
     """
-    p_a, p_b = effective_displacement(p_a), effective_displacement(p_b)
     eta_a = Supernumber.eta(1, order)
     eta_b = Supernumber.eta(2, order)
     g_a = Supernumber.one(order) + pair_product(1, order) * (p_a * p_a / 2.0)
@@ -294,10 +292,8 @@ def grassmann_transition(u: SuperState, v: SuperState) -> Supernumber:
     return s * s.hash()
 
 
-def transition_real(u: SuperState, v: SuperState) -> float:
-    """Modified Rogers norm of the hash-invariant p_G(u, v): real, so any
-    imaginary part is rounding and is dropped."""
-    return modified_rogers(grassmann_transition(u, v)).real
+def transition_real(u: SuperState, v: SuperState):
+    return modified_rogers(grassmann_transition(u, v))
 
 
 def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
@@ -319,9 +315,8 @@ def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
 
 
 def measure_real(state: SuperState) -> list[float]:
-    """Real outcome probabilities via the modified Rogers norm (each outcome
-    is hash-invariant, so any imaginary part is rounding and is dropped)."""
-    return [modified_rogers(t).real for t in grassmann_outcomes(state)]
+    """Real outcome probabilities via the modified Rogers norm."""
+    return [modified_rogers(t) for t in grassmann_outcomes(state)]
 
 
 # -- rotations ----------------------------------------------------------------

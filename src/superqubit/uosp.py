@@ -17,19 +17,6 @@ from .supermatrix import Supermatrix, _new, exp_nilpotent, scalar_left
 
 VEC_PARITY = (0, 0, 1)
 
-# Displacements below this act as 0.  The soul coefficients of a two-party
-# state reach p_a^2 p_b^2; for |p| >= 1e-75 they stay above 1e-300, inside
-# the normal double range, where rounding is relative and the zero rule
-# (see grassmann) can tell a cancellation residue from a value.  Below it
-# they would be subnormal and an exact identity such as <psi|psi> = 1 could
-# keep a rounding soul.
-MIN_DISPLACEMENT = 1e-75
-
-
-def effective_displacement(p: float) -> float:
-    """p, or 0.0 when |p| < MIN_DISPLACEMENT."""
-    return p if abs(p) >= MIN_DISPLACEMENT else 0.0
-
 
 @dataclass(frozen=True)
 class GroupElementParams:
@@ -85,10 +72,7 @@ def s_matrix(p: float, order: int = 2, pair: int = 1) -> Supermatrix:
     [[1 + p^2/2 X, 0,           -p eta# ],
      [0,           1 + p^2/2 X, -p eta  ],
      [p eta,       -p eta#,     1 - p^2 X]]   with X = eta eta#.
-
-    |p| < MIN_DISPLACEMENT gives the identity.
     """
-    p = effective_displacement(p)
     eta = Supernumber.eta(pair, order)
     etah = Supernumber.eta_hash(pair, order)
     x = pair_product(pair, order)

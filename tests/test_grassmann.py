@@ -70,24 +70,6 @@ def test_tiny_coefficients_are_pruned():
     assert Supernumber(2, {0: 1.0, 1: 1e-16}).terms() == {0: (1 + 0j)}
 
 
-def test_zero_rule_drops_only_cancellation_residues():
-    one = Supernumber.one(ORDER)
-    x = pair_product(1, ORDER)
-    g = Supernumber.eta(1, ORDER)
-    # small terms that nothing cancelled survive sums, products and scaling
-    gamma = one + x * 7.1e-15
-    assert gamma.coefficient(3) == 7.1e-15
-    assert (gamma * gamma).coefficient(3) == 1.42e-14
-    assert (g * 1e-20).terms() == {1: 1e-20 + 0j}
-    # the rounding residue of a cancellation goes: in a sum (0.1 + 0.2 - 0.3)
-    # and in a product (0.1 * 7 - 0.7 * 1, one fused sum)
-    assert (g * 0.1 + g * 0.2 - g * 0.3).terms() == {}
-    assert 0.1 * 7 - 0.7 != 0
-    assert set(((one * 0.1 + x * 0.7) * (x * 7.0 - 1.0)).terms()) == {0}
-    # a cancellation that keeps more than CANCEL_TOL of its terms stays
-    assert (g * 1e-13 - g * 0.99e-13).coefficient(1) == pytest.approx(1e-15, rel=1e-6)
-
-
 def test_equality_uses_comparison_tolerance():
     a = Supernumber(2, {1: 1.0})
     assert a == Supernumber(2, {1: 1.0 + 0.1 * COMPARE_TOL})
@@ -348,8 +330,6 @@ def test_modified_rogers_rejects_odd_terms():
 
 @settings(max_examples=60, deadline=None)
 @given(supernumbers(parity=0), supernumbers(parity=0))
-# an imaginary part at the old 1e-12 tolerance was dropped from a, not from 2.5 a
-@example(Supernumber(ORDER, {0: 1e-12j}), Supernumber.zero(ORDER))
 def test_modified_rogers_is_linear(a, b):
     va, vb = modified_rogers(a), modified_rogers(b)
     vab = modified_rogers(a + b)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from superqubit.grassmann import Supernumber, pair_product
 from superqubit.supermatrix import Supermatrix, exp_nilpotent, scalar_left
 from superqubit.uosp import (
-    MIN_DISPLACEMENT,
     VEC_PARITY,
     GroupElementParams,
     algebra_element,
@@ -108,16 +107,6 @@ def test_s_matrix_second_pair_uses_other_generators():
     s = s_matrix(0.3, ORDER, pair=2)
     assert s[2, 0] == 0.3 * Supernumber.eta(2, ORDER)
     assert s[0, 0].terms()[12] == pytest.approx(0.3**2 / 2)
-
-
-def test_displacements_below_the_cut_act_as_zero():
-    ident = s_matrix(0.0, ORDER)
-    for p in (MIN_DISPLACEMENT / 2, -1e-160, 5e-324):
-        below = s_matrix(p, ORDER)
-        assert all(below[i, j].terms() == ident[i, j].terms() for i in range(3) for j in range(3))
-    at = s_matrix(MIN_DISPLACEMENT, ORDER)
-    assert at[2, 0].terms() == {1: MIN_DISPLACEMENT + 0j}
-    assert at[0, 0].terms() == {0: 1 + 0j, 3: MIN_DISPLACEMENT**2 / 2 + 0j}
 
 
 @settings(max_examples=60, deadline=None)
