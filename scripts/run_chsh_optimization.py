@@ -8,9 +8,9 @@ rotation angles), or over the rotation-only 8-parameter subspace with
 rotation-only benchmarks and optionally writes the result as JSON plus the
 per-setting outcome tables as CSV.
 
-Typical full run (a few minutes):
+Typical full run at the default budget (under a minute):
 
-    python3 scripts/run_chsh_optimization.py --restarts 200 --max-iters 2000 \
+    python3 scripts/run_chsh_optimization.py \
         --json results/chsh_full.json --csv results/chsh_full_tables.csv
 
 Quick smoke run:
@@ -28,18 +28,19 @@ from superqubit.cli import dumps, strategy_to_dict, tables_to_dict, write_tables
 
 
 def parse_args(argv=None):
+    defaults = chsh.OptimizeConfig()
     ap = argparse.ArgumentParser(
         description="maximize the referee-game win probability over "
         "superqubit strategies"
     )
-    ap.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    ap.add_argument("--restarts", type=int, default=200,
+    ap.add_argument("--seed", type=int, default=defaults.seed, help="base RNG seed")
+    ap.add_argument("--restarts", type=int, default=defaults.restarts,
                     help="independent optimizer starts")
-    ap.add_argument("--max-iters", type=int, default=2000,
-                    help="Nelder-Mead iterations per start")
-    ap.add_argument("--penalty-weight", type=float, default=1000.0,
+    ap.add_argument("--max-iters", type=int, default=defaults.max_iters,
+                    help="Nelder-Mead iterations of each start's first stage")
+    ap.add_argument("--penalty-weight", type=float, default=defaults.penalty_weight,
                     help="weight of the feasibility penalty")
-    ap.add_argument("--tol", type=float, default=1e-9,
+    ap.add_argument("--tol", type=float, default=defaults.tolerance,
                     help="feasibility tolerance on the final strategy")
     ap.add_argument("--quantum-only", action="store_true",
                     help="pin all displacements to zero (ordinary qubits)")

@@ -16,6 +16,14 @@ apply Bob and then Alice to the shared state, and the hash and the Rogers
 norm fold into one 16x16 quadratic form.  The test suite cross-checks it
 against the exact path.
 
+The search (optimize) is a seeded multi-start Nelder-Mead in two penalty
+stages.  The optimum lies on the family where one party holds all the
+displacement, so a full-space restart runs its first stage on that family
+with Bob displaced: p_a = r = 0 and p_b = 1/2 held fixed, s and the eight
+angles searched.  The stiff polish then releases all 14 parameters.  The
+sign of either party's displacements and the exchange of the parties leave
+every table unchanged, so this family stands for its three mirror images.
+
 Winning rule: outcomes 1 and bullet both announce bit 1; the players win
 when a XOR b = i AND j, each referee question pair weighted 1/4.
 """
@@ -348,7 +356,7 @@ def _table_violation(t: np.ndarray) -> float:
 class OptimizeConfig:
     seed: int = 0
     restarts: int = 200
-    max_iters: int = 2000
+    max_iters: int = 1000
     penalty_weight: float = 1000.0
     tolerance: float = 1e-9
     quantum_only: bool = False
@@ -371,29 +379,39 @@ class OptimizationResult:
 _UPPER = np.concatenate((np.full(6, BOX_LIMIT), np.full(8, np.inf)))
 _LOWER = -_UPPER
 
+# fixed leading entries of a search point, which moves only the rest;
+# _FAMILY is (p_a, p_b, r0, r1) of the displaced-Bob family
+_FREE = np.zeros(0)
+_FAMILY = np.array([0.0, BOX_LIMIT, 0.0, 0.0])
+_ROTATION_ONLY = np.zeros(6)
 
-def _embed(x: np.ndarray, quantum_only: bool) -> np.ndarray:
-    """Full strategy vector of a search point, displacements held in the box."""
-    if quantum_only:
-        return np.concatenate((np.zeros(6), x))
-    return np.minimum(np.maximum(x, _LOWER), _UPPER)
+
+def _embed(x: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """Full strategy vector of a search point x behind the fixed entries
+    lead, displacements held in the box."""
+    return np.minimum(np.maximum(np.concatenate((lead, x)), _LOWER), _UPPER)
 
 
-def _objective(penalty: float, quantum_only: bool):
+def _objective(penalty: float, lead: np.ndarray):
     def f(x):
-        t = _fast_tables(_embed(x, quantum_only))
+        t = _fast_tables(_embed(x, lead))
         v = _table_violation(t)
         return -(_pwin_from_tables(t) - penalty * v * v)
     return f
 
 
 def _penalty_schedule(config: OptimizeConfig):
-    """Quadratic penalties leave a residual violation of order
+    """(penalty weight, iterations, fixed leading entries) of each stage.
+
+    Quadratic penalties leave a residual violation of order
     (multiplier / weight), so each restart polishes with a much stiffer
-    weight to push the residual below the feasibility tolerance."""
+    weight to push the residual below the feasibility tolerance.  A
+    full-space restart runs its first stage on the displaced-Bob family
+    and releases all 14 entries for the polish."""
     polish = max(200, config.max_iters // 4)
     stiff = max(config.penalty_weight * 1e6, 1e9)
-    return ((config.penalty_weight, config.max_iters), (stiff, polish))
+    first, last = (_ROTATION_ONLY,) * 2 if config.quantum_only else (_FAMILY, _FREE)
+    return ((config.penalty_weight, config.max_iters, first), (stiff, polish, last))
 
 
 def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
@@ -402,7 +420,11 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
     Restart k draws its start from SeedSequence([seed, k]) so the result
     is reproducible for a fixed master seed no matter how restarts are
     scheduled; ties between equal-value feasible restarts go to the lower
-    restart index.  Returns the best feasible point, or an explicit
+    restart index.  A full-space restart first searches the family where
+    Bob holds every displacement (p_a = r = 0, p_b = 1/2; s and the eight
+    angles free, taken from the draw), where the optimum lies, and then
+    polishes in all 14 entries; a rotation-only restart searches its eight
+    angles in both stages.  Returns the best feasible point, or an explicit
     infeasible result (feasible=False) when no restart meets tolerance.
     """
     total_iters = 0
@@ -411,16 +433,16 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
     for rix in range(config.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, rix]))
         if config.quantum_only:
-            x = rng.uniform(-math.pi, math.pi, 8)
+            vec = np.concatenate((_ROTATION_ONLY, rng.uniform(-math.pi, math.pi, 8)))
         else:
-            x = np.concatenate([
+            vec = np.concatenate([
                 rng.uniform(-BOX_LIMIT, BOX_LIMIT, 6),
                 rng.uniform(-math.pi, math.pi, 8),
             ])
         if config.max_iters > 0:
-            for penalty, iters in _penalty_schedule(config):
+            for penalty, iters, lead in _penalty_schedule(config):
                 res = minimize(
-                    _objective(penalty, config.quantum_only), x,
+                    _objective(penalty, lead), vec[lead.size:],
                     method="Nelder-Mead",
                     options={
                         "maxiter": iters,
@@ -430,9 +452,9 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
                         "adaptive": True,
                     },
                 )
-                x = res.x
+                vec = np.concatenate((lead, res.x))
                 total_iters += int(res.nit)
-        vec = _embed(x, config.quantum_only)
+        vec = _embed(vec, _FREE)
         t = _fast_tables(vec)
         pwin = _pwin_from_tables(t)
         viol = _table_violation(t)

@@ -12,7 +12,7 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, replace
 
 from . import chsh
 from .grassmann import (
@@ -42,25 +42,6 @@ from .superstate import (
     upsilon,
 )
 from .uosp import GroupElementParams, group_element, odd_exponent, s_matrix, u_matrix
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Optimizer settings as supplied by flags or a JSON config file."""
-
-    seed: int = 0
-    restarts: int = 200
-    max_iters: int = 2000
-    penalty_weight: float = 1000.0
-    tolerance: float = 1e-9
-    quantum_only: bool = False
-
-    def to_optimize_config(self) -> chsh.OptimizeConfig:
-        return chsh.OptimizeConfig(
-            seed=self.seed, restarts=self.restarts, max_iters=self.max_iters,
-            penalty_weight=self.penalty_weight, tolerance=self.tolerance,
-            quantum_only=self.quantum_only,
-        )
 
 
 # -- deterministic JSON ---------------------------------------------------------
@@ -460,9 +441,9 @@ def cmd_chsh_eval(strategy_file: str, json_out: str | None = None,
     return 0
 
 
-def cmd_chsh_optimize(config: RunConfig, json_out: str | None = None,
+def cmd_chsh_optimize(config: chsh.OptimizeConfig, json_out: str | None = None,
                       csv_out: str | None = None) -> int:
-    result = chsh.optimize(config.to_optimize_config())
+    result = chsh.optimize(config)
     payload = {
         "seed": config.seed,
         "restarts": config.restarts,
@@ -573,36 +554,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    base = {}
+def _config_from_args(args) -> chsh.OptimizeConfig:
+    """Optimizer config: chsh.OptimizeConfig's defaults, overridden by the
+    config file and then by flags, each value coerced to its default's type."""
+    defaults = chsh.OptimizeConfig()
+    names = {f.name for f in fields(defaults)}
+    overrides = {}
     if args.config_file:
         raw = _load_json(args.config_file)
-        allowed = {"seed", "restarts", "max_iters", "penalty_weight",
-                   "tolerance", "quantum_only"}
-        unknown = set(raw) - allowed - {"strategy", "result"}
+        unknown = set(raw) - names - {"strategy", "result"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        base = {k: raw[k] for k in allowed if k in raw}
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.restarts is not None:
-        base["restarts"] = args.restarts
-    if args.max_iters is not None:
-        base["max_iters"] = args.max_iters
-    if args.penalty is not None:
-        base["penalty_weight"] = args.penalty
-    if args.tol is not None:
-        base["tolerance"] = args.tol
-    if args.quantum_only is not None:
-        base["quantum_only"] = args.quantum_only
-    cfg = RunConfig(
-        seed=int(base.get("seed", 0)),
-        restarts=int(base.get("restarts", 200)),
-        max_iters=int(base.get("max_iters", 2000)),
-        penalty_weight=float(base.get("penalty_weight", 1000.0)),
-        tolerance=float(base.get("tolerance", 1e-9)),
-        quantum_only=bool(base.get("quantum_only", False)),
-    )
+        overrides = {k: raw[k] for k in names if k in raw}
+    flags = {
+        "seed": args.seed, "restarts": args.restarts, "max_iters": args.max_iters,
+        "penalty_weight": args.penalty, "tolerance": args.tol,
+        "quantum_only": args.quantum_only,
+    }
+    overrides.update((k, v) for k, v in flags.items() if v is not None)
+    try:
+        cfg = replace(defaults, **{k: type(getattr(defaults, k))(v) for k, v in overrides.items()})
+    except TypeError as exc:  # a JSON null, list or object where a number belongs
+        raise ValueError(f"bad config value: {exc}") from exc
     if cfg.seed < 0 or cfg.restarts < 1 or cfg.max_iters < 0:
         raise ValueError("seed must be >= 0, restarts >= 1, max_iters >= 0")
     if cfg.penalty_weight <= 0 or cfg.tolerance <= 0:

@@ -284,7 +284,7 @@ def test_criterion_09_rotation_only_optimum_and_classical_baseline():
 
 def test_criterion_10_full_optimization_beats_quantum_bound():
     start = time.perf_counter()
-    res = chsh.optimize(chsh.OptimizeConfig())  # seed 0, 200 restarts, 2000 iters
+    res = chsh.optimize(chsh.OptimizeConfig())  # seed 0, 200 restarts, 1000 iters
     elapsed = time.perf_counter() - start
     assert res.feasible, "no feasible strategy found"
     assert res.violation <= 1e-9, f"constraint violation {res.violation}"

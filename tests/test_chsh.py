@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,24 @@ def test_strategy_swap_is_involutive_and_preserves_value():
         strat = _random_strategy(rng)
         assert strat.swapped().swapped() == strat
         assert win_prob(strat.swapped()) == pytest.approx(win_prob(strat), abs=1e-12)
+
+
+def test_flipping_one_partys_displacements_keeps_every_table():
+    # the sign of each party's displacements is a free choice, which lets the
+    # optimizer's first stage fix p_b = +1/2 (party exchange: Strategy.swapped)
+    rng = random.Random(13)
+    for _ in range(10):
+        strat = _random_strategy(rng)
+        fast = fast_outcome_tables(strat)
+        exact = np.array([outcome_probs(i, j, strat) for i, j in SETTINGS])
+        flips = (
+            replace(strat, p_a=-strat.p_a, r=(-strat.r[0], -strat.r[1])),
+            replace(strat, p_b=-strat.p_b, s=(-strat.s[0], -strat.s[1])),
+        )
+        for flipped in flips:
+            assert np.max(np.abs(fast_outcome_tables(flipped) - fast)) <= 1e-15
+            flipped_exact = [outcome_probs(i, j, flipped) for i, j in SETTINGS]
+            assert np.max(np.abs(np.array(flipped_exact) - exact)) <= 1e-15
 
 
 def test_local_rotation_order():
@@ -302,6 +321,16 @@ def test_optimize_result_is_recomputed_exactly():
     assert res.p_win == pytest.approx(win_prob(res.strategy), abs=1e-14)
     assert res.violation == pytest.approx(constraint_violation(res.strategy), abs=1e-14)
     assert len(res.tables) == 4
+
+
+def test_single_restarts_at_default_budget_beat_quantum_bound():
+    # guards the default budget: the first stage on the displaced-Bob family
+    # must keep nearly every single restart feasible and past cos^2(pi/8)
+    wins = 0
+    for seed in range(20):
+        res = optimize(OptimizeConfig(seed=seed, restarts=1))
+        wins += res.feasible and res.p_win > TSIRELSON
+    assert wins >= 18, f"only {wins} of 20 restarts beat cos^2(pi/8)"
 
 
 def test_reported_winning_parameters_best_guess():

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from superqubit import cli
-from superqubit.chsh import SETTINGS, Strategy, outcome_probs
+from superqubit.chsh import SETTINGS, OptimizeConfig, Strategy, outcome_probs
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
@@ -65,14 +65,9 @@ def test_strategy_from_dict_rejects_malformed():
         cli.strategy_from_dict(bad)
 
 
-def test_run_config_defaults():
-    cfg = cli.RunConfig()
-    assert cfg.seed == 0
-    assert cfg.restarts == 200
-    assert cfg.max_iters == 2000
-    assert cfg.penalty_weight == 1000.0
-    assert cfg.tolerance == 1e-9
-    assert cfg.quantum_only is False
+def test_optimizer_config_without_flags_or_file_is_the_library_default():
+    args = cli._build_parser().parse_args(["chsh-optimize"])
+    assert cli._config_from_args(args) == OptimizeConfig()
 
 
 # -- verify ------------------------------------------------------------------------
@@ -269,9 +264,13 @@ def test_chsh_optimize_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_chsh_optimize_rejects_invalid_values(capsys):
+def test_chsh_optimize_rejects_invalid_values(tmp_path, capsys):
     assert cli.main(["chsh-optimize", "--restarts", "0"]) == 2
     assert cli.main(["chsh-optimize", "--tol", "-1", "--restarts", "1"]) == 2
+    cfg = tmp_path / "cfg.json"
+    for value in (None, [1], "many"):
+        cfg.write_text(cli.dumps({"restarts": value}))
+        assert cli.main(["chsh-optimize", str(cfg)]) == 2
     capsys.readouterr()
 
 
