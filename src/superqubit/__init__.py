@@ -36,12 +36,10 @@ from .supermatrix import (
     NotNilpotent,
     Supermatrix,
     exp_nilpotent,
-    grade_adjoint,
     graded_kron,
     scalar_left,
     scalar_right,
     supertrace,
-    supertranspose,
 )
 from .uosp import (
     GroupElementParams,
@@ -106,12 +104,10 @@ __all__ = [
     "NotNilpotent",
     "Supermatrix",
     "exp_nilpotent",
-    "grade_adjoint",
     "graded_kron",
     "scalar_left",
     "scalar_right",
     "supertrace",
-    "supertranspose",
     "GroupElementParams",
     "algebra_element",
     "exp_odd",

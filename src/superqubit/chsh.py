@@ -38,13 +38,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .grassmann import Supernumber, modified_rogers
-from .superstate import (
-    apply_local,
-    digits_of,
-    ket_parity,
-    measure_real,
-    upsilon,
-)
+from .superstate import apply_local, ket_parity, measure_real, metric_sign, upsilon
 from .supermatrix import Supermatrix
 from .uosp import s_matrix, u_matrix
 
@@ -218,7 +212,7 @@ def _build_kernel_tables():
     for x, y in np.ndindex(16, 16):
         for z, c in (basis[x] * basis[y]).terms().items():
             m[x, y, z] = c.real
-    w = np.array([modified_rogers(e) if e.parity() == 0 else 0.0 for e in basis])
+    w = np.array([modified_rogers(e).real if e.parity() == 0 else 0.0 for e in basis])
     # hash(c e_y) = conj(c) hsign[y] e_hperm[y]; folding it into the Rogers
     # weights of products gives modified_rogers(x hash(x)) = x @ kh @ conj(x)
     hperm, hsign = zip(*(next(iter(e.hash().terms().items())) for e in basis))
@@ -267,11 +261,9 @@ _LOCAL = _build_local_tables()
 _P_POWERS = np.arange(3)
 
 # measurement prefactor per composite outcome: (-1)^|ket| times the
-# bra-reordering sign (-1 when both outcomes are bullet)
-_PREF = np.array([
-    (-1.0 if ket_parity(ix, 2) else 1.0) * (-1.0 if digits_of(ix, 2) == (2, 2) else 1.0)
-    for ix in range(9)
-])
+# bra-reordering sign, which for two parties is the metric sign (-1 when both
+# outcomes are bullet; see superstate.grassmann_outcomes)
+_PREF = np.array([(-1.0 if ket_parity(ix, 2) else 1.0) * metric_sign(ix, 2) for ix in range(9)])
 
 
 def _local_coefficients(vec: np.ndarray) -> np.ndarray:

@@ -9,10 +9,11 @@ float with 17 significant digits so identical runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import random
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from . import chsh
 from .grassmann import (
@@ -24,24 +25,20 @@ from .grassmann import (
     pair_product,
     rogers_r1,
 )
-from .supermatrix import Supermatrix, exp_nilpotent, graded_kron, supertrace
+from .supermatrix import Supermatrix, exp_nilpotent, supertrace
 from .superstate import (
-    SuperState,
-    apply_local,
     compactify,
     grassmann_outcomes,
     grassmann_transition,
-    inner_product,
     is_physical,
     measure_real,
     norm_supernumber,
     physical_pair,
     superqubit,
-    tensor,
     transition_real,
     upsilon,
 )
-from .uosp import GroupElementParams, group_element, odd_exponent, s_matrix, u_matrix
+from .uosp import GroupElementParams, group_element, odd_exponent, s_matrix
 
 
 # -- deterministic JSON ---------------------------------------------------------
@@ -135,41 +132,40 @@ def write_tables_csv(path: str, tables) -> None:
 # -- verification suite ----------------------------------------------------------
 
 
-def _rand_homog(rng, order, parity):
+# random elements and residual measures, shared with the test suite
+
+
+def max_abs_coeff(a: Supernumber) -> float:
+    """Largest coefficient magnitude of a supernumber (0.0 for the zero element)."""
+    return max((abs(c) for c in a.terms().values()), default=0.0)
+
+
+def matrix_residual(m: Supermatrix) -> float:
+    """Largest coefficient magnitude over all entries of a supermatrix."""
+    rows, cols = m.shape
+    return max(max_abs_coeff(m[i, j]) for i in range(rows) for j in range(cols))
+
+
+def rand_supernumber(rng: random.Random, order: int, parity=None) -> Supernumber:
+    """Dense random supernumber; optionally restricted to one parity sector."""
     terms = {}
-    for m in range(1 << order):
-        if bin(m).count("1") % 2 == parity and rng.random() < 0.8:
-            terms[m] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for mask in range(1 << order):
+        if parity is not None and bin(mask).count("1") % 2 != parity:
+            continue
+        terms[mask] = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
     return Supernumber(order, terms)
 
 
-def _rand_super(rng, order):
-    terms = {
-        m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        for m in range(1 << order)
-        if rng.random() < 0.7
-    }
-    return Supernumber(order, terms)
-
-
-def _rand_matrix(rng, order, rp, cp, parity):
-    ents = [
-        [_rand_homog(rng, order, (ri + cj + parity) % 2) for cj in cp]
-        for ri in rp
+def rand_supermatrix(rng: random.Random, row_parity, col_parity, parity, order) -> Supermatrix:
+    """Random homogeneous supermatrix consistent with the block parity rule."""
+    entries = [
+        [
+            rand_supernumber(rng, order, (row_parity[i] + col_parity[j] + parity) % 2)
+            for j in range(len(col_parity))
+        ]
+        for i in range(len(row_parity))
     ]
-    return Supermatrix(ents, rp, cp, parity, order=order)
-
-
-def _resid(sn: Supernumber) -> float:
-    return max((abs(c) for c in sn.terms().values()), default=0.0)
-
-
-def _mat_resid(m: Supermatrix) -> float:
-    worst = 0.0
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            worst = max(worst, _resid(m[i, j]))
-    return worst
+    return Supermatrix(entries, row_parity, col_parity, parity)
 
 
 def _pairing(u: Supermatrix, v: Supermatrix) -> Supernumber:
@@ -184,14 +180,14 @@ def _checks(inject_sign_fault: bool):
     worst = 0.0
     for order in (2, 4):
         for _ in range(40):
-            a = _rand_super(rng, order)
-            b = _rand_super(rng, order)
+            a = rand_supernumber(rng, order)
+            b = rand_supernumber(rng, order)
             hh = a.hash().hash()
             expect = a.even_part() - a.odd_part()
-            worst = max(worst, _resid(hh - expect))
-            worst = max(worst, _resid(a.star().star() - a))
-            worst = max(worst, _resid((a * b).hash() - a.hash() * b.hash()))
-            worst = max(worst, _resid((a * b).star() - b.star() * a.star()))
+            worst = max(worst, max_abs_coeff(hh - expect))
+            worst = max(worst, max_abs_coeff(a.star().star() - a))
+            worst = max(worst, max_abs_coeff((a * b).hash() - a.hash() * b.hash()))
+            worst = max(worst, max_abs_coeff((a * b).star() - b.star() * a.star()))
     yield "involutions: hash grade-involution, star involution", worst, 1e-12
 
     # Berezin and Rogers machinery
@@ -202,21 +198,21 @@ def _checks(inject_sign_fault: bool):
         worst = max(worst, abs(modified_rogers(a) - (1 - c)))
         worst = max(worst, abs(rogers_r1(a) - (1 + abs(c))))
     x = Supernumber.generator(1, 2) * 2.5 + Supernumber.one(2)
-    worst = max(worst, _resid(berezin(x, 1) - Supernumber.from_complex(2.5, 2)))
+    worst = max(worst, max_abs_coeff(berezin(x, 1) - Supernumber.from_complex(2.5, 2)))
     yield "Berezin integral and Rogers norms", worst, 1e-12
 
     # exact series inverses
     worst = 0.0
     for _ in range(20):
-        a = _rand_super(rng, 4)
+        a = rand_supernumber(rng, 4)
         body = a.body
         if abs(body) < 0.3:
             a = a + Supernumber.from_complex(1.0, 4)
-        worst = max(worst, _resid(invert(a) * a - Supernumber.one(4)))
+        worst = max(worst, max_abs_coeff(invert(a) * a - Supernumber.one(4)))
         pos = a.hash() * a + Supernumber.from_complex(0.5, 4)
         pos = pos.even_part()
         riv = inv_sqrt(pos)
-        worst = max(worst, _resid(riv * riv * pos - Supernumber.one(4)))
+        worst = max(worst, max_abs_coeff(riv * riv * pos - Supernumber.one(4)))
     yield "invert and inv_sqrt are exact series inverses", worst, 1e-10
 
     # supertranspose laws
@@ -225,15 +221,15 @@ def _checks(inject_sign_fault: bool):
         rp = tuple(rng.randint(0, 1) for _ in range(3))
         cp = tuple(rng.randint(0, 1) for _ in range(3))
         sp, tp = rng.randint(0, 1), rng.randint(0, 1)
-        x = _rand_matrix(rng, 2, rp, cp, sp)
-        y = _rand_matrix(rng, 2, cp, rp, tp)
+        x = rand_supermatrix(rng, rp, cp, sp, 2)
+        y = rand_supermatrix(rng, cp, rp, tp, 2)
         st4 = x.supertranspose().supertranspose().supertranspose().supertranspose()
-        worst = max(worst, _mat_resid(st4 - x))
+        worst = max(worst, matrix_residual(st4 - x))
         lhs = (x @ y).supertranspose()
         rhs = y.supertranspose() @ x.supertranspose()
         if sp * tp:
             rhs = -rhs
-        worst = max(worst, _mat_resid(lhs - rhs))
+        worst = max(worst, matrix_residual(lhs - rhs))
     yield "supertranspose: order four and composition law", worst, 1e-12
 
     # supertrace graded cyclicity and scalar rules
@@ -241,16 +237,16 @@ def _checks(inject_sign_fault: bool):
     for _ in range(40):
         rp = tuple(rng.randint(0, 1) for _ in range(3))
         sp, tp = rng.randint(0, 1), rng.randint(0, 1)
-        x = _rand_matrix(rng, 2, rp, rp, sp)
-        y = _rand_matrix(rng, 2, rp, rp, tp)
+        x = rand_supermatrix(rng, rp, rp, sp, 2)
+        y = rand_supermatrix(rng, rp, rp, tp, 2)
         lhs = supertrace(x @ y)
         rhs = supertrace(y @ x)
         if sp * tp:
             rhs = -rhs
-        worst = max(worst, _resid(lhs - rhs))
-        zeta = _rand_homog(rng, 2, 1)
+        worst = max(worst, max_abs_coeff(lhs - rhs))
+        zeta = rand_supernumber(rng, 2, 1)
         if sp:
-            worst = max(worst, _mat_resid(zeta * x + x * zeta))
+            worst = max(worst, matrix_residual(zeta * x + x * zeta))
     yield "supertrace cyclicity; odd scalars anticommute with odd matrices", worst, 1e-12
 
     # grade adjoint pairing (sign fault hook lives here)
@@ -260,46 +256,46 @@ def _checks(inject_sign_fault: bool):
             for zpar in (0, 1):
                 for _ in range(25):
                     rp = tuple(rng.randint(0, 1) for _ in range(3))
-                    s_mat = _rand_matrix(rng, order, rp, rp, spar)
+                    s_mat = rand_supermatrix(rng, rp, rp, spar, order)
                     z = Supermatrix.column(
-                        [_rand_homog(rng, order, (p + zpar) % 2) for p in rp],
+                        [rand_supernumber(rng, order, (p + zpar) % 2) for p in rp],
                         rp, zpar, order=order)
                     wpar = rng.randint(0, 1)
                     w = Supermatrix.column(
-                        [_rand_homog(rng, order, (p + wpar) % 2) for p in rp],
+                        [rand_supernumber(rng, order, (p + wpar) % 2) for p in rp],
                         rp, wpar, order=order)
                     lhs = _pairing(s_mat @ z, w)
                     rhs = _pairing(z, s_mat.grade_adjoint() @ w)
                     sign = -1 if (spar * zpar) else 1
                     if inject_sign_fault:
                         sign = 1
-                    worst = max(worst, _resid(lhs - rhs * sign))
+                    worst = max(worst, max_abs_coeff(lhs - rhs * sign))
     yield "grade adjoint moves across the pairing with (-1)^(|S||z|)", worst, 1e-12
 
     # group structure
     worst = 0.0
     for _ in range(25):
         p, q = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        worst = max(worst, _mat_resid(s_matrix(p) @ s_matrix(q) - s_matrix(p + q)))
+        worst = max(worst, matrix_residual(s_matrix(p) @ s_matrix(q) - s_matrix(p + q)))
         eta = Supernumber.eta(1, 2)
-        worst = max(worst, _mat_resid(
+        worst = max(worst, matrix_residual(
             exp_nilpotent(odd_exponent(eta * (2 * p))) - s_matrix(p)))
         params = GroupElementParams(rng.uniform(-3, 3), rng.uniform(-3, 3), p)
         z = group_element(params)
         ident = Supermatrix.identity((0, 0, 1), 2)
-        worst = max(worst, _mat_resid(z.grade_adjoint() @ z - ident))
+        worst = max(worst, matrix_residual(z.grade_adjoint() @ z - ident))
     yield "one-parameter subgroup, closed form, superunitarity", worst, 1e-12
 
     # state normalization and measurement
     worst = 0.0
     for _ in range(25):
         st = superqubit(rng.uniform(-1, 1), rng.uniform(-3, 3), rng.uniform(-3, 3))
-        worst = max(worst, _resid(norm_supernumber(st) - Supernumber.one(2)))
+        worst = max(worst, max_abs_coeff(norm_supernumber(st) - Supernumber.one(2)))
     ups = upsilon(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
     total = Supernumber.zero(4)
     for t in grassmann_outcomes(ups):
         total = total + t
-    worst = max(worst, _resid(total - Supernumber.one(4)))
+    worst = max(worst, max_abs_coeff(total - Supernumber.one(4)))
     yield "superqubit norm 1; two-party probabilities sum to 1", worst, 1e-12
 
     # transition probability against the closed form
@@ -309,8 +305,6 @@ def _checks(inject_sign_fault: bool):
         t1, f1, t2, f2 = (rng.uniform(-3, 3) for _ in range(4))
         u = superqubit(p, t1, f1)
         v = superqubit(q, t2, f2)
-        import cmath
-
         a, b = math.cos(t1), cmath.exp(1j * f1) * math.sin(t1)
         c, d = math.cos(t2), cmath.exp(1j * f2) * math.sin(t2)
         ov = a.conjugate() * c + b.conjugate() * d
@@ -445,11 +439,7 @@ def cmd_chsh_optimize(config: chsh.OptimizeConfig, json_out: str | None = None,
                       csv_out: str | None = None) -> int:
     result = chsh.optimize(config)
     payload = {
-        "seed": config.seed,
-        "restarts": config.restarts,
-        "max_iters": config.max_iters,
-        "penalty_weight": config.penalty_weight,
-        "tolerance": config.tolerance,
+        **asdict(config),
         "strategy": strategy_to_dict(result.strategy),
         "result": {
             "p_win": result.p_win,

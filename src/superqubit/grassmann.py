@@ -199,9 +199,9 @@ class Supernumber:
     def odd_part(self) -> "Supernumber":
         return _new(self.order, {m: c for m, c in self._terms.items() if m.bit_count() & 1})
 
-    def is_real_even(self, tol: float | None = None) -> bool:
+    def is_real_even(self) -> bool:
         """Even and invariant under the hash involution."""
-        return self.parity() == 0 and (self.hash() - self).is_zero(tol)
+        return self.parity() == 0 and (self.hash() - self).is_zero()
 
     # -- ring structure ----------------------------------------------------
 
@@ -388,14 +388,14 @@ def rogers_r1(a: Supernumber) -> float:
     return sum(abs(c) for c in a._terms.values())
 
 
-def modified_rogers(a: Supernumber, tol: float | None = None):
+def modified_rogers(a: Supernumber) -> complex:
     """Berezin integral of an even element against prod exp(-eta_i eta_i#).
 
     Linear in a, so it is evaluated as sum_m w[m] a[m].  The weight
     w[m] = _rogers_integral(e_m) of each even basis monomial is computed
     on first use and kept in a per-order table (at most 2^(order-1)
-    entries).  Returns a float when the imaginary part is within tol,
-    else the complex value.
+    entries).  Always complex, so it stays linear; callers that want a
+    probability take the real part.
     """
     if a.parity() != 0:
         raise ParityError("modified Rogers norm requires an even element")
@@ -407,8 +407,7 @@ def modified_rogers(a: Supernumber, tol: float | None = None):
             w = weights[mask] = _rogers_integral(_new(a.order, {mask: 1.0 + 0j})).real
         if w:
             val += w * c
-    tol = COMPARE_TOL if tol is None else tol
-    return val.real if abs(val.imag) <= tol else val
+    return val
 
 
 def _rogers_integral(a: Supernumber) -> complex:
@@ -437,11 +436,10 @@ def pair_product(pair: int, order: int) -> Supernumber:
     return Supernumber.eta(pair, order) * Supernumber.eta_hash(pair, order)
 
 
-def invert(a: Supernumber, tol: float | None = None) -> Supernumber:
+def invert(a: Supernumber) -> Supernumber:
     """Exact inverse: finite geometric series around the nonzero body."""
-    tol = PRUNE_TOL if tol is None else tol
     b = a.body
-    if abs(b) <= tol:
+    if abs(b) <= PRUNE_TOL:
         raise NotInvertible("zero body")
     n = a * (1.0 / b) - 1  # nilpotent
     out = Supernumber.one(a.order)
@@ -456,11 +454,10 @@ def invert(a: Supernumber, tol: float | None = None) -> Supernumber:
     return out * (1.0 / b)
 
 
-def inv_sqrt(a: Supernumber, tol: float | None = None) -> Supernumber:
+def inv_sqrt(a: Supernumber) -> Supernumber:
     """a^(-1/2) for even a with positive real body; inv_sqrt(a)^2 * a = 1."""
-    tol = PRUNE_TOL if tol is None else tol
     b = a.body
-    if abs(b.imag) > tol or b.real <= 0:
+    if abs(b.imag) > PRUNE_TOL or b.real <= 0:
         raise DomainError(f"inv_sqrt needs a positive real body, got {b}")
     n = a * (1.0 / b.real) - 1
     out = Supernumber.one(a.order)

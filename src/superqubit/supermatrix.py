@@ -283,14 +283,6 @@ def _new(entries, row_parity, col_parity, parity, order) -> Supermatrix:
     return out
 
 
-def supertranspose(s: Supermatrix) -> Supermatrix:
-    return s.supertranspose()
-
-
-def grade_adjoint(s: Supermatrix) -> Supermatrix:
-    return s.grade_adjoint()
-
-
 def supertrace(s: Supermatrix) -> Supernumber:
     """Tr(A) - (-1)^|S| Tr(D) over the graded diagonal."""
     if not s.is_square():
@@ -362,14 +354,13 @@ def graded_kron(a: Supermatrix, b: Supermatrix) -> Supermatrix:
     return _new(tuple(grid), row_parity, col_parity, 0, a.order)
 
 
-def exp_nilpotent(s: Supermatrix, tol: float | None = None) -> Supermatrix:
+def exp_nilpotent(s: Supermatrix) -> Supermatrix:
     """Matrix exponential of a pure-soul (hence nilpotent) supermatrix."""
     if not s.is_square():
         raise DimensionMismatch("exp needs a square matrix")
-    tol = COMPARE_TOL if tol is None else tol
     for row in s.entries:
         for e in row:
-            if abs(e.body) > tol:
+            if abs(e.body) > COMPARE_TOL:
                 raise NotNilpotent(f"entry has nonzero body {e.body}")
     acc = Supermatrix.identity(s.row_parity, s.order)
     term = acc

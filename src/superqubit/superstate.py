@@ -73,8 +73,6 @@ def _ket_table(f) -> dict[int, tuple[int, ...]]:
 
 _KET_PARITY = _ket_table(lambda ds: sum(DIGIT_PARITY[d] for d in ds) % 2)
 _METRIC_SIGN = _ket_table(lambda ds: -1 if ds == (2, 2) else 1)
-# o bullet outcomes contribute (-1)^(o(o-1)/2)
-_KAPPA = _ket_table(lambda ds: (-1) ** (ds.count(2) * (ds.count(2) - 1) // 2))
 
 
 def ket_parity(index: int, parties: int) -> int:
@@ -90,12 +88,6 @@ def _flip_odd(c: Supernumber) -> Supernumber:
 def metric_sign(index: int, parties: int) -> int:
     """Diagonal metric: +1 everywhere except -1 at the two-party |••>."""
     return _METRIC_SIGN[parties][index]
-
-
-def _kappa(index: int, parties: int) -> int:
-    """Bra-reordering sign in the measurement rule: counts bullet outcomes o
-    and contributes (-1)^(o(o-1)/2); -1 exactly for the two-party |••>."""
-    return _KAPPA[parties][index]
 
 
 class SuperState:
@@ -292,8 +284,8 @@ def grassmann_transition(u: SuperState, v: SuperState) -> Supernumber:
     return s * s.hash()
 
 
-def transition_real(u: SuperState, v: SuperState):
-    return modified_rogers(grassmann_transition(u, v))
+def transition_real(u: SuperState, v: SuperState) -> float:
+    return modified_rogers(grassmann_transition(u, v)).real
 
 
 def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
@@ -307,7 +299,11 @@ def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
     for i in range(3 ** state.parties):
         x = state.right_coefficient(i)
         t = x * x.hash()
-        sign = _kappa(i, state.parties)
+        # kappa_I, the bra-reordering sign of o bullet outcomes, is
+        # (-1)^(o(o-1)/2): -1 only at o = 2, the two-party |••>, which is
+        # where the metric sign is -1 too, so for at most two parties the
+        # two are one table
+        sign = metric_sign(i, state.parties)
         if ket_parity(i, state.parties):
             sign = -sign
         out.append(t * sign)
@@ -316,7 +312,7 @@ def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
 
 def measure_real(state: SuperState) -> list[float]:
     """Real outcome probabilities via the modified Rogers norm."""
-    return [modified_rogers(t) for t in grassmann_outcomes(state)]
+    return [modified_rogers(t).real for t in grassmann_outcomes(state)]
 
 
 # -- rotations ----------------------------------------------------------------

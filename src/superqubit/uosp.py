@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grassmann import Supernumber, pair_product
+from .grassmann import COMPARE_TOL, Supernumber, pair_product
 from .supermatrix import Supermatrix, _new, exp_nilpotent, scalar_left
 
 VEC_PARITY = (0, 0, 1)
@@ -87,11 +87,11 @@ def s_matrix(p: float, order: int = 2, pair: int = 1) -> Supermatrix:
     return _new(rows, VEC_PARITY, VEC_PARITY, 0, order)
 
 
-def u_matrix_from_amplitudes(alpha, beta, order: int = 2, tol: float = 1e-12) -> Supermatrix:
+def u_matrix_from_amplitudes(alpha, beta, order: int = 2) -> Supermatrix:
     """SU(2) block embedded at the even corner: [[a, -conj(b), 0], [b, conj(a), 0], [0, 0, 1]]."""
     alpha = complex(alpha)
     beta = complex(beta)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > tol:
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > COMPARE_TOL:
         raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
     z = Supernumber.zero(order)
     one = Supernumber.one(order)

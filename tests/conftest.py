@@ -1,16 +1,11 @@
 """Shared helpers and hypothesis strategies for the test suite."""
 
-import random
-
 from hypothesis import strategies as st
 
+# re-exported to the test modules: `superqubit verify` draws from the same generators
+from superqubit.cli import max_abs_coeff, matrix_residual, rand_supermatrix, rand_supernumber  # noqa: F401
 from superqubit.grassmann import Supernumber
 from superqubit.supermatrix import Supermatrix
-
-
-def max_abs_coeff(a: Supernumber) -> float:
-    """Largest coefficient magnitude of a supernumber (0.0 for the zero element)."""
-    return max((abs(c) for c in a.terms().values()), default=0.0)
 
 
 def coefficient_gap(a: Supernumber, b: Supernumber) -> float:
@@ -18,34 +13,6 @@ def coefficient_gap(a: Supernumber, b: Supernumber) -> float:
     term (a subtraction would prune differences below PRUNE_TOL)."""
     ta, tb = a.terms(), b.terms()
     return max((abs(ta.get(m, 0j) - tb.get(m, 0j)) for m in ta.keys() | tb.keys()), default=0.0)
-
-
-def matrix_residual(m: Supermatrix) -> float:
-    """Largest coefficient magnitude over all entries of a supermatrix."""
-    rows, cols = m.shape
-    return max(max_abs_coeff(m[i, j]) for i in range(rows) for j in range(cols))
-
-
-def rand_supernumber(rng: random.Random, order: int, parity=None, scale=1.0) -> Supernumber:
-    """Dense random supernumber; optionally restricted to one parity sector."""
-    terms = {}
-    for mask in range(1 << order):
-        if parity is not None and bin(mask).count("1") % 2 != parity:
-            continue
-        terms[mask] = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-    return Supernumber(order, terms)
-
-
-def rand_supermatrix(rng: random.Random, row_parity, col_parity, parity, order) -> Supermatrix:
-    """Random homogeneous supermatrix consistent with the block parity rule."""
-    entries = [
-        [
-            rand_supernumber(rng, order, (row_parity[i] + col_parity[j] + parity) % 2)
-            for j in range(len(col_parity))
-        ]
-        for i in range(len(row_parity))
-    ]
-    return Supermatrix(entries, row_parity, col_parity, parity)
 
 
 def _finite():

@@ -4,7 +4,11 @@ serialization, config handling."""
 import csv
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from superqubit import cli
 from superqubit.chsh import SETTINGS, OptimizeConfig, Strategy, outcome_probs
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
+SCAN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scan_transition_grid.py"
 
 
 def _write_strategy_file(path, strat, wrapped=True):
@@ -257,6 +262,26 @@ def test_chsh_optimize_reports_infeasible_with_exit_1(tmp_path, capsys):
     assert "no feasible strategy" in capsys.readouterr().err
 
 
+def test_chsh_optimize_result_file_reruns_as_its_own_config(tmp_path, capsys):
+    # the echoed config carries every OptimizeConfig field, quantum_only included
+    first = tmp_path / "first.json"
+    rc = cli.main(
+        [
+            "chsh-optimize",
+            "--quantum-only",
+            "--restarts", "1",
+            "--max-iters", "20",
+            "--seed", "2",
+            "--json", str(first),
+        ]
+    )
+    assert rc == 0
+    second = tmp_path / "second.json"
+    assert cli.main(["chsh-optimize", str(first), "--json", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    capsys.readouterr()
+
+
 def test_chsh_optimize_rejects_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(cli.dumps({"seed": 1, "bogus": 2}))
@@ -296,3 +321,31 @@ def test_chsh_optimize_small_run_is_reproducible(tmp_path, capsys):
     csv_b = (tmp_path / "b.json.csv").read_bytes()
     assert csv_a == csv_b
     capsys.readouterr()
+
+
+# -- scripts -----------------------------------------------------------------------
+
+
+def _run_scan_script(*args):
+    env = dict(os.environ)
+    src = str(SCAN_SCRIPT.parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(SCAN_SCRIPT), *args],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_scan_transition_grid_script_writes_the_grid(tmp_path):
+    out = tmp_path / "grid.csv"
+    proc = _run_scan_script("--points", "5", "--csv", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "25 grid points" in proc.stdout
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["p", "q", "transition", "in_s1", "in_s2"]
+    assert len(rows) == 1 + 25
+
+
+def test_scan_transition_grid_script_rejects_a_single_point():
+    proc = _run_scan_script("--points", "1")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr

@@ -17,12 +17,10 @@ from superqubit.supermatrix import (
     NotNilpotent,
     Supermatrix,
     exp_nilpotent,
-    grade_adjoint,
     graded_kron,
     scalar_left,
     scalar_right,
     supertrace,
-    supertranspose,
 )
 
 from conftest import (
@@ -223,7 +221,6 @@ def test_supertranspose_is_linear():
     odd = rand_supermatrix(rng, P2, P2, 1, ORDER)
     lhs = (even + odd).supertranspose()
     assert lhs == even.supertranspose() + odd.supertranspose()
-    assert supertranspose(even) == even.supertranspose()
 
 
 # -- hash and grade adjoint --------------------------------------------------------
@@ -244,7 +241,6 @@ def test_grade_adjoint_is_hash_of_supertranspose():
         m = rand_supermatrix(rng, P3, P3, parity, ORDER)
         assert m.grade_adjoint() == m.supertranspose().hash()
         assert m.grade_adjoint() == m.hash().supertranspose()
-        assert grade_adjoint(m) == m.grade_adjoint()
 
 
 @settings(max_examples=40, deadline=None)
