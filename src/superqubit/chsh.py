@@ -98,10 +98,9 @@ class Strategy:
         )
 
 
-def local_rotation(displacement: float, theta: float, phi: float,
-                   pair: int, order: int = 4) -> Supermatrix:
+def local_rotation(displacement: float, theta: float, phi: float, pair: int) -> Supermatrix:
     """Per-setting group element S(2 r eta) U(theta, phi) on one party's pair."""
-    return s_matrix(displacement, order, pair) @ u_matrix(theta, phi, order)
+    return s_matrix(displacement, 4, pair) @ u_matrix(theta, phi, 4)
 
 
 def outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
@@ -349,8 +348,6 @@ class OptimizeConfig:
     seed: int = 0
     restarts: int = 200
     max_iters: int = 1000
-    penalty_weight: float = 1000.0
-    tolerance: float = 1e-9
     quantum_only: bool = False
 
 
@@ -377,6 +374,11 @@ _FREE = np.zeros(0)
 _FAMILY = np.array([0.0, BOX_LIMIT, 0.0, 0.0])
 _ROTATION_ONLY = np.zeros(6)
 
+# penalty weights of the two stages; largest violation of a feasible restart
+PENALTY_WEIGHT = 1e3
+STIFF_WEIGHT = 1e9
+FEASIBILITY_TOL = 1e-9
+
 
 def _embed(x: np.ndarray, lead: np.ndarray) -> np.ndarray:
     """Full strategy vector of a search point x behind the fixed entries
@@ -401,9 +403,8 @@ def _penalty_schedule(config: OptimizeConfig):
     full-space restart runs its first stage on the displaced-Bob family
     and releases all 14 entries for the polish."""
     polish = max(200, config.max_iters // 4)
-    stiff = max(config.penalty_weight * 1e6, 1e9)
     first, last = (_ROTATION_ONLY,) * 2 if config.quantum_only else (_FAMILY, _FREE)
-    return ((config.penalty_weight, config.max_iters, first), (stiff, polish, last))
+    return ((PENALTY_WEIGHT, config.max_iters, first), (STIFF_WEIGHT, polish, last))
 
 
 def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
@@ -450,7 +451,7 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
         t = _fast_tables(vec)
         pwin = _pwin_from_tables(t)
         viol = _table_violation(t)
-        if viol <= config.tolerance and (best is None or pwin > best[0]):
+        if viol <= FEASIBILITY_TOL and (best is None or pwin > best[0]):
             best = (pwin, rix, vec)
         if fallback is None or viol < fallback[0]:
             fallback = (viol, rix, vec)

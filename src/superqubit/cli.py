@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import json
 import math
 import random
 import sys
@@ -44,20 +45,6 @@ from .uosp import GroupElementParams, group_element, odd_exponent, s_matrix
 # -- deterministic JSON ---------------------------------------------------------
 
 
-def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
-
-
 def dumps(obj) -> str:
     """Compact JSON with floats fixed to 17 significant digits."""
     if obj is None:
@@ -69,9 +56,9 @@ def dumps(obj) -> str:
     if isinstance(obj, float):
         return format(obj, ".17g")
     if isinstance(obj, str):
-        return _json_escape(obj)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
-        return "{" + ",".join(f"{_json_escape(str(k))}:{dumps(v)}" for k, v in obj.items()) + "}"
+        return "{" + ",".join(f"{dumps(str(k))}:{dumps(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -396,8 +383,6 @@ def cmd_transition(p: float, theta: float, phi: float,
 
 
 def _load_json(path: str) -> dict:
-    import json
-
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -530,8 +515,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--seed", type=int)
     p_opt.add_argument("--restarts", type=int)
     p_opt.add_argument("--max-iters", type=int)
-    p_opt.add_argument("--penalty", type=float)
-    p_opt.add_argument("--tol", type=float)
     p_opt.add_argument("--quantum-only", action="store_true", default=None,
                        help="pin all super displacements to zero")
     p_opt.add_argument("--json", metavar="OUT")
@@ -546,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> chsh.OptimizeConfig:
     """Optimizer config: chsh.OptimizeConfig's defaults, overridden by the
-    config file and then by flags, each value coerced to its default's type."""
+    config file and then by flags, each value of exactly its default's type."""
     defaults = chsh.OptimizeConfig()
     names = {f.name for f in fields(defaults)}
     overrides = {}
@@ -556,20 +539,16 @@ def _config_from_args(args) -> chsh.OptimizeConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         overrides = {k: raw[k] for k in names if k in raw}
-    flags = {
-        "seed": args.seed, "restarts": args.restarts, "max_iters": args.max_iters,
-        "penalty_weight": args.penalty, "tolerance": args.tol,
-        "quantum_only": args.quantum_only,
-    }
-    overrides.update((k, v) for k, v in flags.items() if v is not None)
-    try:
-        cfg = replace(defaults, **{k: type(getattr(defaults, k))(v) for k, v in overrides.items()})
-    except TypeError as exc:  # a JSON null, list or object where a number belongs
-        raise ValueError(f"bad config value: {exc}") from exc
+    # each flag's dest is its field's name; an unset flag is None
+    overrides.update((k, getattr(args, k)) for k in names if getattr(args, k) is not None)
+    for k, v in overrides.items():
+        want = type(getattr(defaults, k))
+        if type(v) is not want:  # isinstance would take a bool for an int
+            raise ValueError(f"config value {k}={v!r} has type {type(v).__name__}, "
+                             f"not {want.__name__}")
+    cfg = replace(defaults, **overrides)
     if cfg.seed < 0 or cfg.restarts < 1 or cfg.max_iters < 0:
         raise ValueError("seed must be >= 0, restarts >= 1, max_iters >= 0")
-    if cfg.penalty_weight <= 0 or cfg.tolerance <= 0:
-        raise ValueError("penalty weight and tolerance must be positive")
     return cfg
 
 

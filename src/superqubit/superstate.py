@@ -8,7 +8,8 @@ right coordinates (the column-supervector entries) differ by the sign
 picked up when an odd coefficient part crosses an odd ket.
 
 Valid states are even: every coefficient is homogeneous of the same
-parity as its basis ket.
+parity as its basis ket.  The public SuperState constructor checks this,
+as is_valid does; the internal _new, for built and computed states, does not.
 
 Local operations on two parties never form the 9x9 graded Kronecker
 product: apply_local contracts Bob's group element with his digit and
@@ -95,17 +96,11 @@ class SuperState:
 
     __slots__ = ("parties", "order", "pairs", "_left")
 
-    def __init__(self, coeffs, parties: int, pairs=None, order=None, validate: bool = True):
-        if parties not in (1, 2):
-            raise ValueError("only 1 or 2 parties are supported")
+    def __init__(self, coeffs, parties: int, pairs=None, order=None):
+        pairs = _checked_pairs(parties, pairs)
         coeffs = list(coeffs)
         if len(coeffs) != 3 ** parties:
             raise DimensionMismatch(f"need {3 ** parties} coefficients, got {len(coeffs)}")
-        if pairs is None:
-            pairs = tuple(range(1, parties + 1))
-        pairs = tuple(int(x) for x in pairs)
-        if len(pairs) != parties:
-            raise ValueError("one generator pair per party")
         if order is None:
             order = next((c.order for c in coeffs if isinstance(c, Supernumber)), 2 * parties)
         cs = tuple(
@@ -114,15 +109,9 @@ class SuperState:
         )
         if any(c.order != order for c in cs):
             raise DimensionMismatch("mixed algebra orders in one state")
-        if validate:
-            for i, c in enumerate(cs):
-                if c.is_zero(0.0):
-                    continue
-                if c.parity() != ket_parity(i, parties):
-                    raise ParityError(
-                        f"coefficient of |{label_of(i, parties)}> has parity "
-                        f"{c.parity()}, ket needs {ket_parity(i, parties)}"
-                    )
+        fault = _parity_fault(cs, parties)
+        if fault:
+            raise ParityError(fault)
         object.__setattr__(self, "parties", parties)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "pairs", pairs)
@@ -132,22 +121,15 @@ class SuperState:
         raise AttributeError("SuperState is immutable")
 
     @staticmethod
-    def from_right(coeffs, parties: int, pairs=None, order=None, validate: bool = True) -> "SuperState":
-        coeffs = list(coeffs)
-        left = [
-            _flip_odd(c) if ket_parity(i, parties) else c
-            for i, c in enumerate(coeffs)
-        ]
-        return SuperState(left, parties, pairs=pairs, order=order, validate=validate)
-
-    @staticmethod
     def basis_state(label: str, parties: int, pairs=None, order=None) -> "SuperState":
+        """|label> with coefficient 1; on an odd ket this is not a valid state."""
+        pairs = _checked_pairs(parties, pairs)
         if order is None:
             order = 2 * parties
         idx = index_of(label)
         coeffs = [Supernumber.zero(order) for _ in range(3 ** parties)]
         coeffs[idx] = Supernumber.one(order)
-        return SuperState(coeffs, parties, pairs=pairs, order=order, validate=False)
+        return _new(tuple(coeffs), parties, pairs, order)
 
     # -- coefficient access --------------------------------------------------
 
@@ -162,22 +144,14 @@ class SuperState:
         c = self._left[index]
         return _flip_odd(c) if ket_parity(index, self.parties) else c
 
-    def left_coefficients(self) -> tuple[Supernumber, ...]:
-        return self._left
-
     def right_coefficients(self) -> tuple[Supernumber, ...]:
         return tuple(self.right_coefficient(i) for i in range(3 ** self.parties))
 
     def is_valid(self) -> bool:
-        try:
-            SuperState(self._left, self.parties, self.pairs, self.order, validate=True)
-        except ParityError:
-            return False
-        return True
+        return _parity_fault(self._left, self.parties) is None
 
     def __mul__(self, z):
-        return SuperState([c * z for c in self._left], self.parties, self.pairs,
-                          self.order, validate=False)
+        return _new(tuple(c * z for c in self._left), self.parties, self.pairs, self.order)
 
     __rmul__ = __mul__
 
@@ -207,7 +181,45 @@ class SuperState:
             m, n = digits_of(i, 2)
             sign = -1 if DIGIT_PARITY[m] and DIGIT_PARITY[n] else 1
             out[n * 3 + m] = self._left[i] * sign
-        return SuperState(out, 2, pairs=self.pairs[::-1], order=self.order, validate=False)
+        return _new(tuple(out), 2, self.pairs[::-1], self.order)
+
+
+def _checked_pairs(parties: int, pairs) -> tuple[int, ...]:
+    """Generator pairs of a state, one per party (default 1..parties)."""
+    if parties not in (1, 2):
+        raise ValueError("only 1 or 2 parties are supported")
+    if pairs is None:
+        return tuple(range(1, parties + 1))
+    pairs = tuple(int(x) for x in pairs)
+    if len(pairs) != parties:
+        raise ValueError("one generator pair per party")
+    return pairs
+
+
+def _parity_fault(left, parties: int) -> str | None:
+    """Which coefficient breaks the parity rule, or None if none does."""
+    for i, c in enumerate(left):
+        if not c.is_zero(0.0) and c.parity() != ket_parity(i, parties):
+            return (f"coefficient of |{label_of(i, parties)}> has parity "
+                    f"{c.parity()}, ket needs {ket_parity(i, parties)}")
+    return None
+
+
+def _new(left, parties: int, pairs, order: int) -> SuperState:
+    """Internal constructor: left is a tuple of 3^parties Supernumbers of one
+    order, pairs one generator pair per party; the parity rule is not checked."""
+    out = object.__new__(SuperState)
+    object.__setattr__(out, "parties", parties)
+    object.__setattr__(out, "order", order)
+    object.__setattr__(out, "pairs", pairs)
+    object.__setattr__(out, "_left", left)
+    return out
+
+
+def _from_right(right, parties: int, pairs, order: int) -> SuperState:
+    """_new from right coordinates."""
+    left = tuple(_flip_odd(c) if ket_parity(i, parties) else c for i, c in enumerate(right))
+    return _new(left, parties, pairs, order)
 
 
 # -- constructors -------------------------------------------------------------
@@ -217,16 +229,17 @@ def superqubit(p: float, theta: float, phi: float, order: int = 2, pair: int = 1
     """Pure superqubit S(2p eta) U(alpha, beta) |0>."""
     z = s_matrix(p, order, pair) @ u_matrix(theta, phi, order)
     right = [z[i, 0] for i in range(3)]
-    return SuperState.from_right(right, 1, pairs=(pair,), order=order)
+    return _from_right(right, 1, (pair,), order)
 
 
-def upsilon(p_a: float, p_b: float, order: int = 4) -> SuperState:
+def upsilon(p_a: float, p_b: float) -> SuperState:
     """The shared two-party resource state (entangled superqubit pair).
 
     Left-pulled coefficients: G_A G_B/sqrt(2) on |00> and |11>,
     p_B eta_B G_A on |1•>, p_A eta_A G_B on |•1>, -p_A p_B eta_A eta_B
     on |••>, where G_i = 1 + p_i^2/2 eta_i eta_i#.
     """
+    order = 4
     eta_a = Supernumber.eta(1, order)
     eta_b = Supernumber.eta(2, order)
     g_a = Supernumber.one(order) + pair_product(1, order) * (p_a * p_a / 2.0)
@@ -239,7 +252,7 @@ def upsilon(p_a: float, p_b: float, order: int = 4) -> SuperState:
     coeffs[index_of("1*")] = eta_b * g_a * p_b
     coeffs[index_of("*1")] = eta_a * g_b * p_a
     coeffs[index_of("**")] = eta_a * eta_b * (-p_a * p_b)
-    return SuperState(coeffs, 2, pairs=(1, 2), order=order)
+    return _new(tuple(coeffs), 2, (1, 2), order)
 
 
 def tensor(a: SuperState, b: SuperState) -> SuperState:
@@ -257,7 +270,7 @@ def tensor(a: SuperState, b: SuperState) -> SuperState:
             # move the a-coefficient past the b-ket: odd parts pick up (-1)^|n|
             left_factor = _flip_odd(am) if DIGIT_PARITY[n] else am
             out.append(left_factor * b.right_coefficient(n))
-    return SuperState.from_right(out, 2, pairs=a.pairs + b.pairs, order=a.order)
+    return _from_right(out, 2, a.pairs + b.pairs, a.order)
 
 
 # -- inner product and probabilities ------------------------------------------
@@ -324,8 +337,7 @@ def apply(state: SuperState, z: Supermatrix) -> SuperState:
         raise ValueError("apply takes a single-party state; use apply_local for two")
     col = Supermatrix.column(state.right_coefficients(), VEC_PARITY, 0, order=state.order)
     res = z @ col
-    return SuperState.from_right([res[i, 0] for i in range(3)], 1,
-                                 pairs=state.pairs, order=state.order, validate=False)
+    return _from_right([res[i, 0] for i in range(3)], 1, state.pairs, state.order)
 
 
 def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperState:
@@ -358,17 +370,14 @@ def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperS
     b_row_par = z_b.row_parity
     out = [_sum_of_products(order, zip(twisted[i] if b_row_par[k] else alice[i], w[k]))
            for i in range(3) for k in range(3)]
-    return SuperState.from_right(out, 2, pairs=state.pairs, order=order, validate=False)
+    return _from_right(out, 2, state.pairs, order)
 
 
 def density_matrix(state: SuperState) -> Supermatrix:
     """|psi><psi| as an even supermatrix; its supertrace equals <psi|psi>."""
-    n = 3 ** state.parties
-    par = tuple(ket_parity(i, state.parties) for i in range(n))
-    right = state.right_coefficients()
-    ket = Supermatrix.column(right, par, 0, order=state.order)
-    bra_entries = [right[i].hash() * metric_sign(i, state.parties) for i in range(n)]
-    bra = Supermatrix.row(bra_entries, par, 0, order=state.order)
+    par = _KET_PARITY[state.parties]
+    ket = Supermatrix.column(state.right_coefficients(), par, 0, order=state.order)
+    bra = Supermatrix.row(bra_coefficients(state), par, 0, order=state.order)
     return ket @ bra
 
 
@@ -443,8 +452,12 @@ def state_from_text(text: str) -> SuperState:
         if ln == "end":
             break
         key, *rest = ln.split()
+        if key in ("parties", "order", "ket") and len(rest) != 1:
+            raise ValueError(f"record line {ln!r} needs exactly one value")
         if key == "parties":
             parties = int(rest[0])
+            if parties not in (1, 2):  # before allocating 3^parties kets
+                raise ValueError("only 1 or 2 parties are supported")
             coeffs = [dict() for _ in range(3 ** parties)]
         elif key == "order":
             order = int(rest[0])
@@ -452,6 +465,8 @@ def state_from_text(text: str) -> SuperState:
             pairs = tuple(int(x) for x in rest)
         elif key == "ket":
             current = index_of(rest[0])
+            if coeffs is None or current >= len(coeffs):
+                raise ValueError(f"ket line {ln!r} outside the declared basis")
         elif key == "term":
             if current is None or coeffs is None or order is None:
                 raise ValueError("term line before header/ket lines")
@@ -466,4 +481,4 @@ def state_from_text(text: str) -> SuperState:
     if parties is None or order is None or coeffs is None:
         raise ValueError("incomplete state record")
     sns = [Supernumber(order, t) for t in coeffs]
-    return SuperState(sns, parties, pairs=pairs, order=order, validate=False)
+    return SuperState(sns, parties, pairs=pairs, order=order)

@@ -284,17 +284,23 @@ def test_chsh_optimize_result_file_reruns_as_its_own_config(tmp_path, capsys):
 
 def test_chsh_optimize_rejects_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(cli.dumps({"seed": 1, "bogus": 2}))
-    assert cli.main(["chsh-optimize", str(cfg)]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    for raw in ({"seed": 1, "bogus": 2}, {"seed": 1, "penalty_weight": 1000.0}):
+        cfg.write_text(cli.dumps(raw))
+        assert cli.main(["chsh-optimize", str(cfg)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_chsh_optimize_rejects_invalid_values(tmp_path, capsys):
     assert cli.main(["chsh-optimize", "--restarts", "0"]) == 2
-    assert cli.main(["chsh-optimize", "--tol", "-1", "--restarts", "1"]) == 2
+    assert cli.main(["chsh-optimize", "--max-iters", "-1", "--restarts", "1"]) == 2
     cfg = tmp_path / "cfg.json"
     for value in (None, [1], "many"):
         cfg.write_text(cli.dumps({"restarts": value}))
+        assert cli.main(["chsh-optimize", str(cfg)]) == 2
+    # each value has exactly its default's type, never coerced to it
+    for raw in ({"quantum_only": "false"}, {"seed": 2.7}, {"restarts": True},
+                {"max_iters": "12"}):
+        cfg.write_text(cli.dumps(raw))
         assert cli.main(["chsh-optimize", str(cfg)]) == 2
     capsys.readouterr()
 

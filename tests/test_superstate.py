@@ -614,5 +614,12 @@ def test_text_parser_rejects_malformed_input():
         state_from_text(text.replace("superqubit-state v1", "something-else"))
     with pytest.raises(ValueError):
         state_from_text(text.replace("ket 0", "ket 7"))
+    with pytest.raises(ValueError, match="outside the declared basis"):
+        state_from_text(text.replace("ket 0", "ket 11"))  # a two-party ket
     with pytest.raises(ValueError):
         state_from_text("")
+    for header in ("parties", "order", "ket"):
+        with pytest.raises(ValueError, match=f"'{header}'"):
+            state_from_text(f"superqubit-state v1\n{header}\nend\n")
+    with pytest.raises(ParityError):  # the odd bullet coefficient on the even ket |1>
+        state_from_text(text.replace("ket *", "ket 1"))
