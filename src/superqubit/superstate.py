@@ -24,13 +24,12 @@ from .grassmann import (
     DimensionMismatch,
     ParityError,
     Supernumber,
-    _new as _supernumber,
     _sum_of_products,
     modified_rogers,
     pair_product,
 )
 from .supermatrix import Supermatrix
-from .uosp import VEC_PARITY, GroupElementParams
+from .uosp import VEC_PARITY, s_matrix, u_matrix
 
 BULLET = "•"
 DIGIT_LABELS = ("0", "1", BULLET)
@@ -227,14 +226,10 @@ def _from_right(right, parties: int, pairs, order: int) -> SuperState:
 
 
 def superqubit(p: float, theta: float, phi: float, order: int = 2, pair: int = 1) -> SuperState:
-    """Pure superqubit S(2p eta) U(alpha, beta) |0>, right coordinates alpha G, beta G,
-    p (alpha eta - beta eta#), G = 1 + p^2/2 eta eta#.  Built from disjoint terms:
-    S @ U adds p^2/2 to 1, and the zero rule drops it for |p| < ~1.4e-7."""
-    g = GroupElementParams(theta, phi, p)
-    eta, eta_h = Supernumber.eta(pair, order), Supernumber.eta_hash(pair, order)
-    gamma = _supernumber(order, {0: 1 + 0j, **((eta * eta_h) * (p * p / 2.0)).terms()})
-    bullet = _supernumber(order, {**(eta * (p * g.alpha)).terms(), **(eta_h * (-p * g.beta)).terms()})
-    return _from_right([gamma * g.alpha, gamma * g.beta, bullet], 1, (pair,), order)
+    """Pure superqubit S(2p eta) U(alpha, beta) |0>."""
+    z = s_matrix(p, order, pair) @ u_matrix(theta, phi, order)
+    right = [z[i, 0] for i in range(3)]
+    return _from_right(right, 1, (pair,), order)
 
 
 def upsilon(p_a: float, p_b: float) -> SuperState:
@@ -282,13 +277,14 @@ def tensor(a: SuperState, b: SuperState) -> SuperState:
 
 
 def inner_product(u: SuperState, v: SuperState) -> Supernumber:
-    """<u|v> = sum_J hash(u^J) v^J g_J over right coordinates, pruned once at the end."""
+    """<u|v> = sum_J hash(u^J) v^J g_J over right coordinates."""
     if (u.parties, u.order, u.pairs) != (v.parties, v.order, v.pairs):
         raise DimensionMismatch("states live in different spaces")
-    return _sum_of_products(u.order, (
-        (u.right_coefficient(i).hash() * metric_sign(i, u.parties), v.right_coefficient(i))
-        for i in range(3 ** u.parties)
-    ))
+    acc = Supernumber.zero(u.order)
+    for i in range(3 ** u.parties):
+        t = u.right_coefficient(i).hash() * v.right_coefficient(i)
+        acc = acc + (t * metric_sign(i, u.parties))
+    return acc
 
 
 def norm_supernumber(u: SuperState) -> Supernumber:
