@@ -464,9 +464,9 @@ def state_from_text(text: str) -> SuperState:
         elif key == "pairs":
             pairs = tuple(int(x) for x in rest)
         elif key == "ket":
-            current = index_of(rest[0])
-            if coeffs is None or current >= len(coeffs):
+            if parties is None or len(rest[0]) != parties:  # one digit per party
                 raise ValueError(f"ket line {ln!r} outside the declared basis")
+            current = index_of(rest[0])
         elif key == "term":
             if current is None or coeffs is None or order is None:
                 raise ValueError("term line before header/ket lines")

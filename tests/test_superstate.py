@@ -616,6 +616,8 @@ def test_text_parser_rejects_malformed_input():
         state_from_text(text.replace("ket 0", "ket 7"))
     with pytest.raises(ValueError, match="outside the declared basis"):
         state_from_text(text.replace("ket 0", "ket 11"))  # a two-party ket
+    with pytest.raises(ValueError, match="outside the declared basis"):
+        state_from_text(text.replace("ket 1", "ket 01"))  # |1> with a leading digit
     with pytest.raises(ValueError):
         state_from_text("")
     for header in ("parties", "order", "ket"):
