@@ -13,8 +13,10 @@ trigonometric features of its angles with powers of its displacement, so
 one matrix product against tables built at import time from the exact
 algebra gives every player's 12x12 left-multiplication table; two more
 apply Bob and then Alice to the shared state, and the hash and the Rogers
-norm fold into one 16x16 quadratic form.  The test suite cross-checks it
-against the exact path.
+norm fold into one 16x16 quadratic form.  The shared state, the layout of
+U and the outcome signs are read from the exact algebra too, so no sign
+convention is restated here.  The test suite cross-checks it against the
+exact path.
 
 The search (optimize) is a seeded multi-start Nelder-Mead in two penalty
 stages.  The optimum lies on the family where one party holds all the
@@ -38,9 +40,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .grassmann import Supernumber, modified_rogers
-from .superstate import apply_local, ket_parity, measure_real, metric_sign, upsilon
+from .superstate import _OUTCOME_SIGN, apply_local, measure_real, upsilon
 from .supermatrix import Supermatrix
-from .uosp import s_matrix, u_matrix
+from .uosp import VEC_PARITY, s_matrix, u_matrix, u_matrix_from_amplitudes
 
 OUTCOME_LABELS = ("00", "01", "0*", "10", "11", "1*", "*0", "*1", "**")
 # outcome in {1, bullet} announces bit 1
@@ -189,16 +191,17 @@ def oracle_win_prob(strat: Strategy) -> float:
 # parity |j|, and Bob's entries, which act on beta alone, keep it so.  With
 # |B_kl| = |k| + |l|, Bob's sign and the graded Kronecker sign
 # (-1)^((|i| + |j|) |k|) of Alice's entry A_ij multiply to
-# (-1)^(|j| |l|) (-1)^(|i| |k|).  The first sits in the state (_upsilon_right);
+# (-1)^(|j| |l|) (-1)^(|i| |k|).  The first sits in the state (_upsilon_terms);
 # the second flips a whole amplitude, which its norm does not see.
 
 
-def _dense(m: Supermatrix) -> np.ndarray:
-    """Real coefficients [row, col, monomial] of a 3x3 supermatrix over CL_4."""
-    out = np.zeros((3, 3, 16))
-    for i, j in np.ndindex(3, 3):
-        for mask, c in m[i, j].terms().items():
-            out[i, j, mask] = c.real
+def _dense(entries) -> np.ndarray:
+    """Coefficients [..., monomial] of an array of supernumbers over CL_4."""
+    entries = np.asarray(entries, dtype=object)
+    out = np.zeros(entries.shape + (16,), dtype=complex)
+    for ix, c in np.ndenumerate(entries):
+        for mask, z in c.terms().items():
+            out[ix + (mask,)] = z
     return out
 
 
@@ -220,7 +223,7 @@ def _build_kernel_tables():
     # S0 + p S1 + p^2 S2, fixed by its values at p = 0, 1, -1
     powers = []
     for pair in (1, 2):
-        s0, plus, minus = (_dense(s_matrix(p, 4, pair)) for p in (0.0, 1.0, -1.0))
+        s0, plus, minus = (_dense(s_matrix(p, 4, pair).entries) for p in (0.0, 1.0, -1.0))
         powers.append(np.stack((s0, (plus - minus) / 2, (plus + minus) / 2 - s0)))
     return m, kh, np.stack(powers)
 
@@ -243,14 +246,12 @@ def _build_local_tables():
     monomials of its own factor only: masks 0..3 for Alice, 0, 4, 8, 12
     for Bob.
     """
-    # U(theta, phi) = [[a, -conj(b), 0], [b, a, 0], [0, 0, 1]] with
-    # a = cos(theta), b = e^(i phi) sin(theta)
-    u = np.array([
-        [0, 0, 0, 0, 0, 0, 0, 0, 1],
-        [1, 0, 0, 0, 1, 0, 0, 0, 0],
-        [0, -1, 0, 1, 0, 0, 0, 0, 0],
-        [0, 1j, 0, 1j, 0, 0, 0, 0, 0],
-    ]).reshape(4, 3, 3)
+    # U(alpha, beta) with alpha = cos(theta) real is linear in
+    # [1, alpha, Re beta, Im beta], fixed by its values at alpha = +-1, beta = 1, i
+    plus, minus, re, im = (_dense(u_matrix_from_amplitudes(a, b, 4).entries)[..., 0]
+                           for a, b in ((1, 0), (-1, 0), (0, 1), (0, 1j)))
+    u0 = (plus + minus) / 2
+    u = np.stack((u0, (plus - minus) / 2, re - u0, im - u0))
     alice = np.einsum("nima,abc,qmj->qnjbic", _S_POWERS[0, ..., :4], _M[:4, :4, :4], u)
     bob = np.einsum("nkmb,bcd,qml->qnkdlc", _S_POWERS[1, ..., ::4], _M[::4, ::4, ::4], u)
     return np.stack((alice.reshape(12, 144), bob.reshape(12, 144)))
@@ -259,10 +260,8 @@ def _build_local_tables():
 _LOCAL = _build_local_tables()
 _P_POWERS = np.arange(3)
 
-# measurement prefactor per composite outcome: (-1)^|ket| times the
-# bra-reordering sign, which for two parties is the metric sign (-1 when both
-# outcomes are bullet; see superstate.grassmann_outcomes)
-_PREF = np.array([(-1.0 if ket_parity(ix, 2) else 1.0) * metric_sign(ix, 2) for ix in range(9)])
+# measurement prefactor per composite outcome (superstate._OUTCOME_SIGN)
+_PREF = np.array(_OUTCOME_SIGN[2], dtype=float)
 
 
 def _local_coefficients(vec: np.ndarray) -> np.ndarray:
@@ -279,23 +278,30 @@ def _local_coefficients(vec: np.ndarray) -> np.ndarray:
     return (np.array(features).reshape(4, 4, 1) * powers[:, None]).reshape(2, 2, 12)
 
 
+def _upsilon_terms():
+    """(flat index, value at p_A = p_B = 1, |alpha|, |beta|) of each nonzero
+    entry of _upsilon_right, read from superstate.upsilon with the twist
+    (-1)^(|j| |l|).  The state depends on p_A and p_B only through p_A eta_A
+    and p_B eta_B, so the entry on monomial alpha | beta << 2 scales as
+    p_A^|alpha| p_B^|beta|."""
+    one = _dense(upsilon(1.0, 1.0).right_coefficients()).reshape(3, 3, 4, 4)  # [j, l, beta, alpha]
+    one = one * (-1.0) ** np.outer(VEC_PARITY, VEC_PARITY)[..., None, None]
+    flat = one.transpose(1, 2, 0, 3).ravel()  # [l, beta, j, alpha]
+    degree = (0, 1, 1, 2)  # generators in the monomials 1, eta, eta#, eta eta#
+    return [(k, complex(flat[k]), degree[k % 4], degree[k // 12 % 4])
+            for k in np.flatnonzero(flat)]
+
+
+_UPSILON_TERMS = _upsilon_terms()
+
+
 def _upsilon_right(pa: float, pb: float) -> np.ndarray:
     """Right coordinates of the shared state as a [12, 12] array indexed
-    ((Bob digit l, beta), (Alice digit j, alpha)), times (-1)^(|j| |l|):
-    the |bullet bullet> entry -p_A p_B eta_A eta_B changes sign."""
-    v = np.zeros((3, 4, 3, 4), dtype=complex)
-    c = 1.0 / math.sqrt(2.0)
-    ha, hb = 0.5 * pa * pa, 0.5 * pb * pb
-    for d in (0, 1):  # G_A G_B / sqrt(2) on |00> and |11>
-        v[d, 0, d, 0] = c
-        v[d, 0, d, 3] = c * ha
-        v[d, 3, d, 0] = c * hb
-        v[d, 3, d, 3] = c * ha * hb
-    v[2, 1, 1, 0] = -pb
-    v[2, 1, 1, 3] = -pb * ha
-    v[1, 0, 2, 1] = -pa
-    v[1, 3, 2, 1] = -pa * hb
-    v[2, 1, 2, 1] = pa * pb
+    ((Bob digit l, beta), (Alice digit j, alpha)), times (-1)^(|j| |l|)."""
+    a, b = (1.0, pa, pa * pa), (1.0, pb, pb * pb)
+    v = np.zeros(144, dtype=complex)
+    for k, x, i, j in _UPSILON_TERMS:
+        v[k] = x * a[i] * b[j]
     return v.reshape(12, 12)
 
 

@@ -75,6 +75,13 @@ def strategy_to_dict(s: chsh.Strategy) -> dict:
     }
 
 
+def _finite(x) -> float:
+    """A finite input number: a float or int, not a string or a bool."""
+    if type(x) not in (int, float) or not math.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite number")
+    return float(x)
+
+
 def strategy_from_dict(d: dict) -> chsh.Strategy:
     try:
         angles = {}
@@ -83,18 +90,18 @@ def strategy_from_dict(d: dict) -> chsh.Strategy:
             if len(pairs) != 2:
                 raise ValueError(f"{key} needs exactly two angle pairs")
             angles[key] = tuple(
-                (float(p["theta"]), float(p["phi"])) for p in pairs
+                (_finite(p["theta"]), _finite(p["phi"])) for p in pairs
             )
         r = d["r"]
         s = d["s"]
         if len(r) != 2 or len(s) != 2:
             raise ValueError("r and s each need exactly two entries")
         return chsh.Strategy(
-            p_a=float(d["pA"]), p_b=float(d["pB"]),
-            r=(float(r[0]), float(r[1])), s=(float(s[0]), float(s[1])),
+            p_a=_finite(d["pA"]), p_b=_finite(d["pB"]),
+            r=(_finite(r[0]), _finite(r[1])), s=(_finite(s[0]), _finite(s[1])),
             alice=angles["alice"], bob=angles["bob"],
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed strategy object: {exc}") from exc
 
 
@@ -337,6 +344,7 @@ def cmd_verify(inject_sign_fault: bool = False, verbose: bool = False) -> int:
 
 
 def cmd_state(p: float, theta: float, phi: float, json_out: str | None = None) -> int:
+    p, theta, phi = map(_finite, (p, theta, phi))
     st = superqubit(p, theta, phi)
     probs = measure_real(st)
     print(f"state: {st}")
@@ -359,6 +367,7 @@ def cmd_state(p: float, theta: float, phi: float, json_out: str | None = None) -
 def cmd_transition(p: float, theta: float, phi: float,
                    q: float, theta2: float, phi2: float,
                    json_out: str | None = None) -> int:
+    p, theta, phi, q, theta2, phi2 = map(_finite, (p, theta, phi, q, theta2, phi2))
     u = superqubit(p, theta, phi)
     v = superqubit(q, theta2, phi2)
     g = grassmann_transition(u, v)

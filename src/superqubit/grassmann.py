@@ -66,36 +66,28 @@ def _above(mask: int) -> int:
 _ABOVE: dict[int, int] = {}
 
 
-def _sort_sign(gens: list[int]) -> tuple[int, int]:
-    """Sort a list of distinct generator indices; return (sign, mask)."""
-    sign = 1
-    mask = 0
-    # insertion sort, counting transpositions; monomials have <= 16 factors
-    order = []
-    for g in gens:
-        pos = len(order)
-        while pos > 0 and order[pos - 1] > g:
-            pos -= 1
-        sign *= -1 if (len(order) - pos) & 1 else 1
-        order.insert(pos, g)
-        mask |= 1 << (g - 1)
-    return sign, mask
+_ETA_BITS = 0x5555  # the bits of the eta_i, generator indices 2i-1
+
+
+def _partners(mask: int) -> int:
+    """Mask with every generator replaced by the other one of its pair."""
+    return ((mask & _ETA_BITS) << 1) | ((mask >> 1) & _ETA_BITS)
+
+
+def _full_pairs(mask: int) -> int:
+    """Number of conjugate pairs with both generators in mask."""
+    return (mask & (mask >> 1) & _ETA_BITS).bit_count()
 
 
 def _hash_image(mask: int) -> tuple[int, int]:
-    """(sign, mask') with hash(e_mask) = sign * e_mask'."""
+    """(sign, mask') with hash(e_mask) = sign * e_mask'.
+
+    Each eta_i# maps to -eta_i; re-sorting the mapped factors swaps the
+    two generators of each full pair."""
     image = _HASH_IMAGE.get(mask)
     if image is None:
-        sign = 1
-        gens = []
-        for g in _bits(mask):
-            if g & 1:
-                gens.append(g + 1)
-            else:
-                gens.append(g - 1)
-                sign = -sign
-        s2, m2 = _sort_sign(gens)
-        image = _HASH_IMAGE[mask] = (sign * s2, m2)
+        flips = ((mask >> 1) & _ETA_BITS).bit_count() + _full_pairs(mask)
+        image = _HASH_IMAGE[mask] = (-1 if flips & 1 else 1, _partners(mask))
     return image
 
 
@@ -181,7 +173,7 @@ class Supernumber:
         return _new(self.order, {m: c for m, c in self._terms.items() if m})
 
     def parity(self) -> int | None:
-        """0 for even, 1 for odd, None for inhomogeneous or zero-with-no-terms."""
+        """0 for even (an element with no terms too), 1 for odd, None for mixed."""
         parities = {m.bit_count() & 1 for m in self._terms}
         if not parities:
             return 0
@@ -288,9 +280,11 @@ class Supernumber:
         """Star involution: order-reversing, eta_i <-> eta_i* on the paired slots."""
         out: dict[int, complex] = {}
         for mask, c in self._terms.items():
-            gens = [g + 1 if g & 1 else g - 1 for g in _bits(mask)]
-            gens.reverse()
-            s2, m2 = _sort_sign(gens)
+            # reversing k factors takes k(k-1)/2 transpositions, of which the
+            # partner swap undoes one per full pair
+            k = mask.bit_count()
+            s2 = -1 if (k * (k - 1) // 2 + _full_pairs(mask)) & 1 else 1
+            m2 = _partners(mask)
             out[m2] = out.get(m2, 0j) + s2 * c.conjugate()
         return _new(self.order, out)
 

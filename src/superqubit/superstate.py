@@ -2,10 +2,12 @@
 
 A k-party state (k in {1, 2}) stores 3^k Supernumber coefficients over
 the product basis kets (m_1 ... m_k), m in {0, 1, bullet}, in
-lexicographic order with digit values 0, 1, 2(=bullet).  Coefficients
-are stored in left-pulled normal form: state = sum_I c_I |I>.  The
-right coordinates (the column-supervector entries) differ by the sign
-picked up when an odd coefficient part crosses an odd ket.
+lexicographic order with digit values 0, 1, 2(=bullet).  It stores the
+right coordinates x_I of state = sum_I |I> x_I (the column-supervector
+entries), in which every operation computes.  The left-pulled c_I of
+state = sum_I c_I |I> differ by the sign an odd part picks up crossing
+an odd ket; that conversion (_flip_odd) runs only at the public
+boundary: the constructor, left_coefficient, str and state_to_text.
 
 Valid states are even: every coefficient is homogeneous of the same
 parity as its basis ket.  The public SuperState constructor checks this,
@@ -32,8 +34,6 @@ from .supermatrix import Supermatrix
 from .uosp import VEC_PARITY, s_matrix, u_matrix
 
 BULLET = "•"
-DIGIT_LABELS = ("0", "1", BULLET)
-DIGIT_PARITY = (0, 0, 1)
 
 
 def digits_of(index: int, parties: int) -> tuple[int, ...]:
@@ -72,18 +72,24 @@ def _ket_table(f) -> dict[int, tuple[int, ...]]:
     return {k: tuple(f(digits_of(i, k)) for i in range(3 ** k)) for k in (1, 2)}
 
 
-_KET_PARITY = _ket_table(lambda ds: sum(DIGIT_PARITY[d] for d in ds) % 2)
+_KET_PARITY = _ket_table(lambda ds: sum(VEC_PARITY[d] for d in ds) % 2)
 _METRIC_SIGN = _ket_table(lambda ds: -1 if ds == (2, 2) else 1)
+# outcome sign (-1)^|I| kappa_I of the measurement probabilities: kappa_I,
+# the bra-reordering sign of o bullet outcomes, is (-1)^(o(o-1)/2): -1 only
+# at o = 2, the two-party |••>, which is where the metric sign is -1 too, so
+# for at most two parties the two are one table
+_OUTCOME_SIGN = {k: tuple(-g if par else g for par, g in zip(_KET_PARITY[k], _METRIC_SIGN[k]))
+                 for k in (1, 2)}
 
 
 def ket_parity(index: int, parties: int) -> int:
     return _KET_PARITY[parties][index]
 
 
-def _flip_odd(c: Supernumber) -> Supernumber:
-    """Sign flip of the odd part: the left<->right coefficient conversion
-    for an odd basis ket (involutive)."""
-    return c.even_part() - c.odd_part()
+def _flip_odd(c: Supernumber, index: int, parties: int) -> Supernumber:
+    """c with the sign of its odd part flipped if ket index is odd: the
+    left-pulled <-> right conversion of that ket's coefficient (involutive)."""
+    return c.even_part() - c.odd_part() if _KET_PARITY[parties][index] else c
 
 
 def metric_sign(index: int, parties: int) -> int:
@@ -92,9 +98,10 @@ def metric_sign(index: int, parties: int) -> int:
 
 
 class SuperState:
-    """Immutable k-party superqubit state with left-pulled coefficients."""
+    """Immutable k-party superqubit state in right coordinates; the
+    constructor takes the left-pulled coefficients c_I."""
 
-    __slots__ = ("parties", "order", "pairs", "_left")
+    __slots__ = ("parties", "order", "pairs", "_right")
 
     def __init__(self, coeffs, parties: int, pairs=None, order=None):
         pairs = _checked_pairs(parties, pairs)
@@ -115,7 +122,8 @@ class SuperState:
         object.__setattr__(self, "parties", parties)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_left", cs)
+        object.__setattr__(self, "_right", tuple(_flip_odd(c, i, parties)
+                                                 for i, c in enumerate(cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperState is immutable")
@@ -136,22 +144,22 @@ class SuperState:
     def left_coefficient(self, index) -> Supernumber:
         if isinstance(index, str):
             index = index_of(index)
-        return self._left[index]
+        return _flip_odd(self._right[index], index, self.parties)
 
     def right_coefficient(self, index) -> Supernumber:
-        if isinstance(index, str):
-            index = index_of(index)
-        c = self._left[index]
-        return _flip_odd(c) if ket_parity(index, self.parties) else c
+        return self._right[index_of(index) if isinstance(index, str) else index]
 
     def right_coefficients(self) -> tuple[Supernumber, ...]:
-        return tuple(self.right_coefficient(i) for i in range(3 ** self.parties))
+        return self._right
 
     def is_valid(self) -> bool:
-        return _parity_fault(self._left, self.parties) is None
+        return _parity_fault(self._right, self.parties) is None
 
     def __mul__(self, z):
-        return _new(tuple(c * z for c in self._left), self.parties, self.pairs, self.order)
+        """Scale by a number or an even supernumber (an odd one makes an odd vector)."""
+        if isinstance(z, Supernumber) and z.parity() != 0:
+            raise ParityError("a state can only be scaled by an even supernumber")
+        return _new(tuple(c * z for c in self._right), self.parties, self.pairs, self.order)
 
     __rmul__ = __mul__
 
@@ -160,13 +168,14 @@ class SuperState:
             return NotImplemented
         if (self.parties, self.order, self.pairs) != (other.parties, other.order, other.pairs):
             return False
-        return all(a == b for a, b in zip(self._left, other._left))
+        return all(a == b for a, b in zip(self._right, other._right))
 
     __hash__ = None
 
     def __str__(self):
         parts = []
-        for i, c in enumerate(self._left):
+        for i in range(3 ** self.parties):
+            c = self.left_coefficient(i)
             if c.is_zero(0.0):
                 continue
             parts.append(f"({c})|{label_of(i, self.parties)}>")
@@ -179,8 +188,8 @@ class SuperState:
         out = [None] * 9
         for i in range(9):
             m, n = digits_of(i, 2)
-            sign = -1 if DIGIT_PARITY[m] and DIGIT_PARITY[n] else 1
-            out[n * 3 + m] = self._left[i] * sign
+            sign = -1 if VEC_PARITY[m] and VEC_PARITY[n] else 1
+            out[n * 3 + m] = self._right[i] * sign
         return _new(tuple(out), 2, self.pairs[::-1], self.order)
 
 
@@ -196,30 +205,27 @@ def _checked_pairs(parties: int, pairs) -> tuple[int, ...]:
     return pairs
 
 
-def _parity_fault(left, parties: int) -> str | None:
-    """Which coefficient breaks the parity rule, or None if none does."""
-    for i, c in enumerate(left):
-        if not c.is_zero(0.0) and c.parity() != ket_parity(i, parties):
+def _parity_fault(coeffs, parties: int) -> str | None:
+    """Which coefficient breaks the parity rule, or None if none does; the
+    same in both coordinates, since _flip_odd keeps a homogeneous parity."""
+    for i, c in enumerate(coeffs):
+        par = c.parity()
+        if not c.is_zero(0.0) and par != ket_parity(i, parties):
             return (f"coefficient of |{label_of(i, parties)}> has parity "
-                    f"{c.parity()}, ket needs {ket_parity(i, parties)}")
+                    f"{'mixed' if par is None else par}, ket needs {ket_parity(i, parties)}")
     return None
 
 
-def _new(left, parties: int, pairs, order: int) -> SuperState:
-    """Internal constructor: left is a tuple of 3^parties Supernumbers of one
-    order, pairs one generator pair per party; the parity rule is not checked."""
+def _new(right, parties: int, pairs, order: int) -> SuperState:
+    """Internal constructor: right is a tuple of the 3^parties right
+    coordinates, Supernumbers of one order, pairs one generator pair per
+    party; the parity rule is not checked."""
     out = object.__new__(SuperState)
     object.__setattr__(out, "parties", parties)
     object.__setattr__(out, "order", order)
     object.__setattr__(out, "pairs", pairs)
-    object.__setattr__(out, "_left", left)
+    object.__setattr__(out, "_right", right)
     return out
-
-
-def _from_right(right, parties: int, pairs, order: int) -> SuperState:
-    """_new from right coordinates."""
-    left = tuple(_flip_odd(c) if ket_parity(i, parties) else c for i, c in enumerate(right))
-    return _new(left, parties, pairs, order)
 
 
 # -- constructors -------------------------------------------------------------
@@ -228,8 +234,7 @@ def _from_right(right, parties: int, pairs, order: int) -> SuperState:
 def superqubit(p: float, theta: float, phi: float, order: int = 2, pair: int = 1) -> SuperState:
     """Pure superqubit S(2p eta) U(alpha, beta) |0>."""
     z = s_matrix(p, order, pair) @ u_matrix(theta, phi, order)
-    right = [z[i, 0] for i in range(3)]
-    return _from_right(right, 1, (pair,), order)
+    return _new(tuple(z[i, 0] for i in range(3)), 1, (pair,), order)
 
 
 def upsilon(p_a: float, p_b: float) -> SuperState:
@@ -237,7 +242,8 @@ def upsilon(p_a: float, p_b: float) -> SuperState:
 
     Left-pulled coefficients: G_A G_B/sqrt(2) on |00> and |11>,
     p_B eta_B G_A on |1•>, p_A eta_A G_B on |•1>, -p_A p_B eta_A eta_B
-    on |••>, where G_i = 1 + p_i^2/2 eta_i eta_i#.
+    on |••>, where G_i = 1 + p_i^2/2 eta_i eta_i#.  Stored are the right
+    coordinates, which negate the two odd entries on the odd kets |1•>, |•1>.
     """
     order = 4
     eta_a = Supernumber.eta(1, order)
@@ -249,8 +255,8 @@ def upsilon(p_a: float, p_b: float) -> SuperState:
     coeffs = [zero] * 9
     coeffs[index_of("00")] = g_a * g_b * inv_sqrt2
     coeffs[index_of("11")] = g_a * g_b * inv_sqrt2
-    coeffs[index_of("1*")] = eta_b * g_a * p_b
-    coeffs[index_of("*1")] = eta_a * g_b * p_a
+    coeffs[index_of("1*")] = eta_b * g_a * (-p_b)
+    coeffs[index_of("*1")] = eta_a * g_b * (-p_a)
     coeffs[index_of("**")] = eta_a * eta_b * (-p_a * p_b)
     return _new(tuple(coeffs), 2, (1, 2), order)
 
@@ -263,14 +269,9 @@ def tensor(a: SuperState, b: SuperState) -> SuperState:
         raise DimensionMismatch("algebra orders differ")
     if set(a.pairs) & set(b.pairs):
         raise ValueError(f"overlapping generator pairs {a.pairs} and {b.pairs}")
-    out = []
-    for m in range(3):
-        am = a.right_coefficient(m)
-        for n in range(3):
-            # move the a-coefficient past the b-ket: odd parts pick up (-1)^|n|
-            left_factor = _flip_odd(am) if DIGIT_PARITY[n] else am
-            out.append(left_factor * b.right_coefficient(n))
-    return _from_right(out, 2, a.pairs + b.pairs, a.order)
+    # move each a-coefficient past the b-ket: odd parts pick up (-1)^|n|
+    out = tuple(_flip_odd(a._right[m], n, 1) * b._right[n] for m in range(3) for n in range(3))
+    return _new(out, 2, a.pairs + b.pairs, a.order)
 
 
 # -- inner product and probabilities ------------------------------------------
@@ -304,23 +305,12 @@ def transition_real(u: SuperState, v: SuperState) -> float:
 def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
     """Grassmann-valued measurement probabilities, one per basis ket.
 
-    p_G(I) = (-1)^|I| kappa_I x_I hash(x_I) with x_I the right coordinate;
-    the diagonal metric signs square away.  Their sum is exactly 1 for a
-    normalized valid state.
+    p_G(I) = (-1)^|I| kappa_I x_I hash(x_I) with x_I the right coordinate
+    (the sign is _OUTCOME_SIGN); the diagonal metric signs square away.
+    Their sum is exactly 1 for a normalized valid state.
     """
-    out = []
-    for i in range(3 ** state.parties):
-        x = state.right_coefficient(i)
-        t = x * x.hash()
-        # kappa_I, the bra-reordering sign of o bullet outcomes, is
-        # (-1)^(o(o-1)/2): -1 only at o = 2, the two-party |••>, which is
-        # where the metric sign is -1 too, so for at most two parties the
-        # two are one table
-        sign = metric_sign(i, state.parties)
-        if ket_parity(i, state.parties):
-            sign = -sign
-        out.append(t * sign)
-    return out
+    return [x * x.hash() * sign
+            for x, sign in zip(state._right, _OUTCOME_SIGN[state.parties])]
 
 
 def measure_real(state: SuperState) -> list[float]:
@@ -337,7 +327,7 @@ def apply(state: SuperState, z: Supermatrix) -> SuperState:
         raise ValueError("apply takes a single-party state; use apply_local for two")
     col = Supermatrix.column(state.right_coefficients(), VEC_PARITY, 0, order=state.order)
     res = z @ col
-    return _from_right([res[i, 0] for i in range(3)], 1, state.pairs, state.order)
+    return _new(tuple(res[i, 0] for i in range(3)), 1, state.pairs, state.order)
 
 
 def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperState:
@@ -356,7 +346,7 @@ def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperS
     for z in (z_a, z_b):
         if z.order != order:
             raise DimensionMismatch("algebra orders differ")
-        if z.col_parity != DIGIT_PARITY or len(z.row_parity) != 3:
+        if z.col_parity != VEC_PARITY or len(z.row_parity) != 3:
             raise DimensionMismatch("apply_local needs 3x3 group elements on (0, 1, bullet)")
     v = state.right_coefficients()
     bob = z_b.entries
@@ -368,9 +358,9 @@ def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperS
     twisted = [[-e if (a_row_par[i] + a_col_par[j]) % 2 else e for j, e in enumerate(row)]
                for i, row in enumerate(alice)]
     b_row_par = z_b.row_parity
-    out = [_sum_of_products(order, zip(twisted[i] if b_row_par[k] else alice[i], w[k]))
-           for i in range(3) for k in range(3)]
-    return _from_right(out, 2, state.pairs, order)
+    out = tuple(_sum_of_products(order, zip(twisted[i] if b_row_par[k] else alice[i], w[k]))
+                for i in range(3) for k in range(3))
+    return _new(out, 2, state.pairs, order)
 
 
 def density_matrix(state: SuperState) -> Supermatrix:
@@ -427,8 +417,8 @@ def state_to_text(state: SuperState) -> str:
         f"order {state.order}",
         "pairs " + " ".join(str(p) for p in state.pairs),
     ]
-    for i, c in enumerate(state._left):
-        terms = c.terms()
+    for i in range(3 ** state.parties):
+        terms = state.left_coefficient(i).terms()
         if not terms:
             continue
         lines.append(f"ket {label_of(i, state.parties, ascii_bullet=True)}")

@@ -35,8 +35,8 @@ from superqubit.chsh import (
     win_prob,
 )
 from superqubit.grassmann import Supernumber, modified_rogers
-from superqubit.superstate import DIGIT_PARITY, apply_local, digits_of, index_of, upsilon
-from superqubit.uosp import s_matrix, u_matrix
+from superqubit.superstate import apply_local, digits_of, index_of, upsilon
+from superqubit.uosp import VEC_PARITY, s_matrix, u_matrix
 
 from conftest import rand_supernumber
 
@@ -170,7 +170,7 @@ def test_fast_amplitudes_match_apply_local():
             state = apply_local(upsilon(strat.p_a, strat.p_b), za, zb)
             for ket in range(9):
                 a, b = digits_of(ket, 2)
-                sign = -1.0 if DIGIT_PARITY[a] * DIGIT_PARITY[b] else 1.0
+                sign = -1.0 if VEC_PARITY[a] * VEC_PARITY[b] else 1.0
                 want = sign * _coefficients(state.right_coefficient(ket))
                 assert np.max(np.abs(fast[row, ket] - want)) <= 1e-14
 

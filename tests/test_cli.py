@@ -129,6 +129,15 @@ def test_transition_output_and_json(tmp_path, capsys):
     assert payload["pair_in_s2"] is True
 
 
+def test_state_and_transition_reject_non_finite_numbers(capsys):
+    for argv in (["state", "nan", "0", "0"], ["state", "0.1", "0", "inf"],
+                 ["transition", "inf", "0", "0", "0", "0", "0"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not a finite number" in err
+
+
 def test_transition_warns_outside_box(capsys):
     assert cli.main(["transition", "0.9", "0", "0", "0.1", "0", "0"]) == 0
     assert "outside the physical box" in capsys.readouterr().out
@@ -200,6 +209,14 @@ def test_chsh_eval_malformed_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     missing = tmp_path / "missing.json"
     assert cli.main(["chsh-eval", str(missing)]) == 2
+    # strategy values are finite JSON numbers: NaN, strings, bools and ints
+    # beyond float range exit 2 before any output
+    good = cli.strategy_to_dict(Strategy.tsirelson())
+    for value in (math.nan, math.inf, "0.1", True, 10**400):
+        bad.write_text(json.dumps({**good, "pA": value}))
+        capsys.readouterr()
+        assert cli.main(["chsh-eval", str(bad)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 # -- chsh-optimize -----------------------------------------------------------------

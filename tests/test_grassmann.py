@@ -214,6 +214,20 @@ def test_involutions_conjugate_scalars():
     assert z.star() == Supernumber.from_complex(2 - 3j, ORDER)
 
 
+def test_involutions_of_every_order_eight_monomial():
+    # factor by factor: hash keeps the order of a product, star reverses it
+    order = 8
+    for mask in range(1 << order):
+        gens = [Supernumber.generator(g + 1, order) for g in range(order) if mask >> g & 1]
+        hashed = starred = Supernumber.one(order)
+        for e in gens:
+            hashed = hashed * e.hash()
+            starred = e.star() * starred
+        monomial = Supernumber(order, {mask: 1.0})
+        assert monomial.hash().terms() == hashed.terms()
+        assert monomial.star().terms() == starred.terms()
+
+
 @settings(max_examples=100, deadline=None)
 @given(supernumbers(), supernumbers())
 def test_hash_is_order_preserving_automorphism(a, b):

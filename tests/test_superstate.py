@@ -115,6 +115,8 @@ def test_coefficient_parity_must_match_ket_parity():
     eta = Supernumber.eta(1, 2)
     with pytest.raises(ParityError):
         SuperState([one, one, one], 1)  # bullet slot needs an odd coefficient
+    with pytest.raises(ParityError, match="has parity mixed"):
+        SuperState([one, one, one + eta], 1)
     SuperState([one, one, eta], 1)  # consistent grading is accepted
 
 
@@ -141,6 +143,8 @@ def test_scalar_multiplication_and_equality():
     assert max_abs_coeff(t.left_coefficient(0) - 2 * s.left_coefficient(0)) < 1e-15
     assert s == superqubit(0.2, 0.3, 0.4)
     assert s != t
+    with pytest.raises(ParityError):  # an odd factor makes an odd vector, not a state
+        s * Supernumber.eta(1, 2)
 
 
 # -- single superqubits ------------------------------------------------------------
@@ -598,6 +602,15 @@ def test_text_round_trip_two_party():
     rotated = apply_local(ups, za, zb)
     back = state_from_text(state_to_text(rotated))
     assert _states_close(back, rotated, tol=1e-15)
+
+
+def test_text_record_holds_left_pulled_coefficients():
+    # the odd part of the |•> coefficient with the left-pulled sign: S(2p eta)|0>
+    # has right coordinate p eta there, and the record holds -p eta
+    assert state_to_text(superqubit(0.5, 0.0, 0.0)) == (
+        "superqubit-state v1\nparties 1\norder 2\npairs 1\n"
+        "ket 0\n  term - 1.0 0.0\n  term 1,2 0.125 0.0\n"
+        "ket *\n  term 1 -0.5 0.0\nend\n")
 
 
 def test_text_round_trip_preserves_repr_exactly():
