@@ -45,6 +45,10 @@ def main(argv=None) -> int:
     if args.points < 2:
         print("error: need at least 2 grid points per axis", file=sys.stderr)
         return 2
+    for name in ("extent", "theta", "phi"):
+        if not math.isfinite(getattr(args, name)):
+            print(f"error: --{name} must be a finite number", file=sys.stderr)
+            return 2
 
     n = args.points
     grid = [-args.extent + 2.0 * args.extent * k / (n - 1) for k in range(n)]

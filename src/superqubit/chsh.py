@@ -12,11 +12,17 @@ constant sign.  Each local group element is linear in 12 products of
 trigonometric features of its angles with powers of its displacement, so
 one matrix product against tables built at import time from the exact
 algebra gives every player's 12x12 left-multiplication table; two more
-apply Bob and then Alice to the shared state, and the hash and the Rogers
-norm fold into one 16x16 quadratic form.  The shared state, the layout of
-U and the outcome signs are read from the exact algebra too, so no sign
-convention is restated here.  The test suite cross-checks it against the
-exact path.
+apply Bob and then Alice to the shared state.  The hash and the Rogers
+norm fold into one 16x16 quadratic form, which factorises into a 4x4 form
+per player up to the sign (-1)^(|alpha| |beta|); with each player's factor
+folded into a second copy of that player's tables, the same two products
+also give the amplitudes' partners under the form, and one product with a
+fixed weight matrix sums them into the tables.  The shared state is real,
+so every product runs on real arrays: Alice's complex tables as
+[[Re, Im], [-Im, Re]] blocks, Bob's as their real and imaginary parts.
+The shared state, the layout of U and the outcome signs are read from the
+exact algebra too, so no sign convention is restated here.  The test suite
+cross-checks it against the exact path.
 
 The search (optimize) is a seeded multi-start Nelder-Mead in two penalty
 stages.  The optimum lies on the family where one party holds all the
@@ -35,9 +41,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .grassmann import Supernumber, modified_rogers
 from .superstate import _OUTCOME_SIGN, apply_local, measure_real, upsilon
@@ -193,6 +199,18 @@ def oracle_win_prob(strat: Strategy) -> float:
 # (-1)^((|i| + |j|) |k|) of Alice's entry A_ij multiply to
 # (-1)^(|j| |l|) (-1)^(|i| |k|).  The first sits in the state (_upsilon_terms);
 # the second flips a whole amplitude, which its norm does not see.
+#
+# The hash/Rogers form factorises over the players as well:
+# KH[(beta, alpha), (beta', alpha')] = (-1)^(|alpha| |beta|) Kb[beta, beta']
+# Ka[alpha, alpha'] (checked at import), so the probability of an amplitude
+# M[beta, alpha] is its outcome's prefactor times
+# Re sum_(beta, alpha) (-1)^(|alpha| |beta|) M o conj(Kb M Ka^T).  Folding Kb
+# into a copy of Bob's tables and Ka^T into a copy of Alice's gives that
+# partner from the same products as M, and one product with a fixed weight
+# matrix (_WEIGHTS) takes the sum.  The shared state is real and U is
+# complex only through Im beta, so every product runs on real arrays:
+# Bob's tables as Br and Bi, Alice's as the blocks [[Ar, Ai], [-Ai, Ar]],
+# with [Xr | Xi] @ [[Ar, Ai], [-Ai, Ar]] = [Re XA | Im XA].
 
 
 def _dense(entries) -> np.ndarray:
@@ -231,9 +249,11 @@ def _build_kernel_tables():
 # _S_POWERS[party, n, row, col, monomial]: the p^n part of S(2 p eta) on
 # Alice's generator pair (party 0) and on Bob's (party 1)
 _M, _KH, _S_POWERS = _build_kernel_tables()
-# _KH on coefficients with interleaved real and imaginary parts: _KH is real,
-# so the real part of x @ _KH @ conj(x) is re @ _KH @ re + im @ _KH @ im
-_KH_RE_IM = np.kron(_KH, np.eye(2))
+
+# _SIGMA[beta, alpha] = (-1)^(|alpha| |beta|), read from e_beta e_alpha
+_SIGMA = np.array([[_M[b << 2, a, a | b << 2] for a in range(4)] for b in range(4)])
+_KA, _KB = _KH[:4, :4], _KH[::4, ::4]
+assert np.array_equal(_KH.reshape(4, 4, 4, 4), np.einsum("ba,bc,ad->bacd", _SIGMA, _KB, _KA))
 
 
 def _build_local_tables():
@@ -258,24 +278,46 @@ def _build_local_tables():
 
 
 _LOCAL = _build_local_tables()
-_P_POWERS = np.arange(3)
-
-# measurement prefactor per composite outcome (superstate._OUTCOME_SIGN)
-_PREF = np.array(_OUTCOME_SIGN[2], dtype=float)
 
 
-def _local_coefficients(vec: np.ndarray) -> np.ndarray:
+def _build_real_tables():
+    """_LOCAL on real arithmetic, plain (fold 0) and folded (fold 1).
+
+    _ALICE[re, fold, (q, n), (j, alpha, re', i, alpha')] is row block re of
+    [[Ar, Ai], [-Ai, Ar]] for L1(Z_ij), times Ka^T on alpha' in fold 1;
+    _BOB[(re, fold), (q, n), (k, beta', l, beta)] is Br (re 0) or Bi (re 1)
+    for L2(Z_kl)^T, times Kb on beta' in fold 1."""
+    alice, bob = _LOCAL.reshape(2, 12, 12, 12)
+    alice = np.stack((alice, alice @ np.kron(np.eye(3), _KA.T)))
+    bob = np.stack((bob, np.kron(np.eye(3), _KB) @ bob))
+    alice = np.stack((np.concatenate((alice.real, alice.imag), axis=-1),
+                      np.concatenate((-alice.imag, alice.real), axis=-1)))
+    bob = np.stack((bob.real, bob.imag))
+    return alice.reshape(2, 2, 12, 288), bob.reshape(4, 12, 144)
+
+
+_ALICE, _BOB = _build_real_tables()
+
+# (-1)^(|alpha| |beta|) times the measurement prefactor of each composite
+# outcome 3 i + k (superstate._OUTCOME_SIGN), on [(k, beta, re, i, alpha), outcome]
+_WEIGHTS = np.zeros((3, 4, 2, 3, 4, 9))
+for _i, _k in np.ndindex(3, 3):
+    _WEIGHTS[_k, :, :, _i, :, 3 * _i + _k] = _OUTCOME_SIGN[2][3 * _i + _k] * _SIGMA[:, None]
+_WEIGHTS = _WEIGHTS.reshape(288, 9)
+
+
+def _local_coefficients(v) -> np.ndarray:
     """Coordinates [party, setting, (q, n)] of the four local group elements
-    on the basis of _LOCAL, from the displacements r, s and the eight angles."""
-    # eight angles: math on Python floats costs less than numpy's per-call
-    # overhead, and it is the same libm the exact path (uosp.u_matrix) uses
-    features = []
-    angles = vec[4:].tolist()
-    for theta, phi in zip(angles[::2], angles[1::2]):
-        s = math.sin(theta)
-        features += (1.0, math.cos(theta), s * math.cos(phi), s * math.sin(phi))
-    powers = vec[:4, None] ** _P_POWERS
-    return (np.array(features).reshape(4, 4, 1) * powers[:, None]).reshape(2, 2, 12)
+    on the basis of _LOCAL, from the displacements r, s (v[:4]) and the
+    eight angles (v[4:])."""
+    # math on Python floats costs less than numpy's per-call overhead, and
+    # it is the same libm the exact path (uosp.u_matrix) uses
+    out = []
+    for p, theta, phi in zip(v[:4], v[4::2], v[5::2]):
+        s, c = math.sin(theta), math.cos(theta)
+        sc, ss, pp = s * math.cos(phi), s * math.sin(phi), p * p
+        out += (1.0, p, pp, c, c * p, c * pp, sc, sc * p, sc * pp, ss, ss * p, ss * pp)
+    return np.array(out).reshape(2, 2, 12)
 
 
 def _upsilon_terms():
@@ -285,49 +327,58 @@ def _upsilon_terms():
     and p_B eta_B, so the entry on monomial alpha | beta << 2 scales as
     p_A^|alpha| p_B^|beta|."""
     one = _dense(upsilon(1.0, 1.0).right_coefficients()).reshape(3, 3, 4, 4)  # [j, l, beta, alpha]
-    one = one * (-1.0) ** np.outer(VEC_PARITY, VEC_PARITY)[..., None, None]
+    assert not one.imag.any()
+    one = one.real * (-1.0) ** np.outer(VEC_PARITY, VEC_PARITY)[..., None, None]
     flat = one.transpose(1, 2, 0, 3).ravel()  # [l, beta, j, alpha]
     degree = (0, 1, 1, 2)  # generators in the monomials 1, eta, eta#, eta eta#
-    return [(k, complex(flat[k]), degree[k % 4], degree[k // 12 % 4])
+    return [(k, float(flat[k]), degree[k % 4], degree[k // 12 % 4])
             for k in np.flatnonzero(flat)]
 
 
 _UPSILON_TERMS = _upsilon_terms()
 
 
+@lru_cache(maxsize=1)  # the first search stage holds (p_a, p_b) fixed
 def _upsilon_right(pa: float, pb: float) -> np.ndarray:
-    """Right coordinates of the shared state as a [12, 12] array indexed
-    ((Bob digit l, beta), (Alice digit j, alpha)), times (-1)^(|j| |l|)."""
+    """Right coordinates of the shared state (real) as a read-only [12, 12]
+    array indexed ((Bob digit l, beta), (Alice digit j, alpha)), times
+    (-1)^(|j| |l|)."""
     a, b = (1.0, pa, pa * pa), (1.0, pb, pb * pb)
-    v = np.zeros(144, dtype=complex)
+    v = np.zeros(144)
     for k, x, i, j in _UPSILON_TERMS:
         v[k] = x * a[i] * b[j]
+    v.flags.writeable = False
     return v.reshape(12, 12)
 
 
-def _fast_amplitudes(vec: np.ndarray) -> np.ndarray:
-    """Right coordinates [(I, J, i, k), monomial] of the shared state after
-    the local group elements of Alice's setting I and Bob's setting J, the
-    entry of ket (i, k) times (-1)^(|i| |k|)."""
-    # alice[I, (j, alpha), (i, alpha')], bob[J, (k, beta'), (l, beta)]
-    alice, bob = (_local_coefficients(vec[2:]) @ _LOCAL).reshape(2, 2, 12, 12)
-    # Bob acts first: w[J, (k, beta'), (j, alpha)] = sum_l B_kl v_jl
-    w = bob @ _upsilon_right(vec[0], vec[1])
-    # then Alice: res[I, (J, k, beta), (i, alpha)] = sum_j A_ij w_kj,
-    # regrouped by ket with monomial masks alpha | beta << 2
-    res = (w.reshape(24, 12) @ alice).reshape(2, 2, 3, 4, 3, 4)
-    return res.transpose(0, 1, 4, 2, 3, 5).reshape(36, 16)
+def _fast_amplitudes(vec) -> np.ndarray:
+    """Right coordinates of the shared state after the local group elements
+    of Alice's setting I and Bob's setting J, as a real array
+    [fold, (I, J), (k, beta, re, i, alpha)]: fold 0 holds M, the real (re 0)
+    and imaginary (re 1) parts of the entry of ket (i, k) on monomial
+    alpha | beta << 2, times (-1)^(|i| |k|); fold 1 holds Kb M Ka^T."""
+    coef = _local_coefficients(vec[2:])
+    # alice[re, fold, I, (j, alpha), (re', i, alpha')]
+    alice = (coef[0] @ _ALICE).reshape(2, 2, 2, 12, 24)
+    # Bob acts first: w[re, fold, (J, k, beta'), (j, alpha)] = sum_l B_kl v_jl
+    w = (coef[1] @ _BOB).reshape(96, 12) @ _upsilon_right(vec[0], vec[1])
+    # then Alice, sum_j A_ij w_kj: the real and the imaginary part of w
+    # each meet their row block, and the two partial products are summed
+    # last, which rounds as a complex matrix product does
+    res = w.reshape(2, 2, 1, 24, 12) @ alice
+    return (res[0] + res[1]).reshape(2, 4, 288)
 
 
-def _fast_tables(vec: np.ndarray) -> np.ndarray:
-    """All four 9-outcome probability tables (rows ordered 00, 01, 10, 11)."""
-    res = _fast_amplitudes(vec).view(float)  # real and imaginary parts interleaved
-    return ((res @ _KH_RE_IM) * res).sum(-1).reshape(4, 9) * _PREF
+def _fast_tables(vec) -> np.ndarray:
+    """All four 9-outcome probability tables (rows ordered 00, 01, 10, 11)
+    of the 14 strategy entries vec."""
+    m, folded = _fast_amplitudes(vec)
+    return (m * folded) @ _WEIGHTS
 
 
 def fast_outcome_tables(strat: Strategy) -> np.ndarray:
     """Vectorized counterpart of outcome_probs for all four settings."""
-    return _fast_tables(np.asarray(strat.to_vector(), dtype=float))
+    return _fast_tables(strat.to_vector())
 
 
 # 1/4 on each winning outcome of the four flattened tables
@@ -347,6 +398,14 @@ def _table_violation(t: np.ndarray) -> float:
 
 
 # -- seeded multi-start maximization -------------------------------------------
+
+
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize, imported on the first call: only the search
+    needs scipy, so importing the package does not load it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
 
 
 @dataclass(frozen=True)
@@ -370,15 +429,11 @@ class OptimizationResult:
     best_restart: int
 
 
-# bounds of the 14 strategy entries: displacements in the box, angles free
-_UPPER = np.concatenate((np.full(6, BOX_LIMIT), np.full(8, np.inf)))
-_LOWER = -_UPPER
-
 # fixed leading entries of a search point, which moves only the rest;
 # _FAMILY is (p_a, p_b, r0, r1) of the displaced-Bob family
-_FREE = np.zeros(0)
-_FAMILY = np.array([0.0, BOX_LIMIT, 0.0, 0.0])
-_ROTATION_ONLY = np.zeros(6)
+_FREE = ()
+_FAMILY = (0.0, BOX_LIMIT, 0.0, 0.0)
+_ROTATION_ONLY = (0.0,) * 6
 
 # penalty weights of the two stages; largest violation of a feasible restart
 PENALTY_WEIGHT = 1e3
@@ -386,13 +441,15 @@ STIFF_WEIGHT = 1e9
 FEASIBILITY_TOL = 1e-9
 
 
-def _embed(x: np.ndarray, lead: np.ndarray) -> np.ndarray:
+def _embed(x: np.ndarray, lead: tuple) -> list[float]:
     """Full strategy vector of a search point x behind the fixed entries
-    lead, displacements held in the box."""
-    return np.minimum(np.maximum(np.concatenate((lead, x)), _LOWER), _UPPER)
+    lead, displacements held in the box (the angles are free)."""
+    v = [*lead, *x.tolist()]
+    v[:6] = [BOX_LIMIT if d > BOX_LIMIT else -BOX_LIMIT if d < -BOX_LIMIT else d for d in v[:6]]
+    return v
 
 
-def _objective(penalty: float, lead: np.ndarray):
+def _objective(penalty: float, lead: tuple):
     def f(x):
         t = _fast_tables(_embed(x, lead))
         v = _table_violation(t)
@@ -441,7 +498,7 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
         if config.max_iters > 0:
             for penalty, iters, lead in _penalty_schedule(config):
                 res = minimize(
-                    _objective(penalty, lead), vec[lead.size:],
+                    _objective(penalty, lead), vec[len(lead):],
                     method="Nelder-Mead",
                     options={
                         "maxiter": iters,

@@ -4,16 +4,22 @@ and the penalized multi-start optimizer."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superqubit
 from superqubit.chsh import (
+    _ALICE,
+    _BOB,
     _KH,
-    _LOCAL,
     _M,
     BOX_LIMIT,
     OUTCOME_LABELS,
@@ -24,6 +30,10 @@ from superqubit.chsh import (
     Strategy,
     _fast_amplitudes,
     _local_coefficients,
+    _objective,
+    _penalty_schedule,
+    _pwin_from_tables,
+    _table_violation,
     best_classical_win_prob,
     constraint_violation,
     fast_outcome_tables,
@@ -161,9 +171,13 @@ def test_fast_amplitudes_match_apply_local():
     # the probabilities cannot see a sign that depends only on Bob's
     # monomials, so the Koszul signs are checked on the amplitudes
     rng = random.Random(19)
+    folded = np.kron(_KH[::4, ::4], _KH[:4, :4])  # Kb (x) Ka on masks alpha | beta << 2
     for _ in range(4):
         strat = _random_strategy(rng)
-        fast = _fast_amplitudes(np.asarray(strat.to_vector())).reshape(4, 9, 16)
+        # [fold, (I, J), k, beta, re, i, alpha] -> [fold, (I, J), (i, k), (beta, alpha)]
+        amps = _fast_amplitudes(strat.to_vector()).reshape(2, 4, 3, 4, 2, 3, 4)
+        fast = amps[:, :, :, :, 0] + 1j * amps[:, :, :, :, 1]
+        fast = fast.transpose(0, 1, 4, 2, 3, 5).reshape(2, 4, 9, 16)
         for row, (i, j) in enumerate(SETTINGS):
             za = local_rotation(strat.r[i], *strat.alice[i], pair=1)
             zb = local_rotation(strat.s[j], *strat.bob[j], pair=2)
@@ -172,7 +186,8 @@ def test_fast_amplitudes_match_apply_local():
                 a, b = digits_of(ket, 2)
                 sign = -1.0 if VEC_PARITY[a] * VEC_PARITY[b] else 1.0
                 want = sign * _coefficients(state.right_coefficient(ket))
-                assert np.max(np.abs(fast[row, ket] - want)) <= 1e-14
+                assert np.max(np.abs(fast[0, row, ket] - want)) <= 1e-14
+                assert np.max(np.abs(fast[1, row, ket] - folded @ want)) <= 1e-14
 
 
 def _coefficients(x: Supernumber) -> np.ndarray:
@@ -180,6 +195,30 @@ def _coefficients(x: Supernumber) -> np.ndarray:
     for mask, c in x.terms().items():
         out[mask] = c
     return out
+
+
+def _complex_tables(vec):
+    """Alice's [fold, setting, j, alpha, i, alpha'] and Bob's
+    [fold, setting, k, beta', l, beta] tables, read from their real blocks."""
+    coef = _local_coefficients(vec)
+    # [re, fold, setting, (j, alpha), re', (i, alpha')]: [[Ar, Ai], [-Ai, Ar]]
+    alice = (coef[0] @ _ALICE).reshape(2, 2, 2, 12, 2, 12)
+    assert np.array_equal(alice[1, :, :, :, 1], alice[0, :, :, :, 0])
+    assert np.array_equal(alice[1, :, :, :, 0], -alice[0, :, :, :, 1])
+    bob = (coef[1] @ _BOB).reshape(2, 2, 2, 12, 12)  # [re, fold, setting, (k, beta'), (l, beta)]
+    return ((alice[0, :, :, :, 0] + 1j * alice[0, :, :, :, 1]).reshape(2, 2, 3, 4, 3, 4),
+            (bob[0] + 1j * bob[1]).reshape(2, 2, 3, 4, 3, 4))
+
+
+def test_hash_rogers_form_factorises_over_the_players():
+    # _KH[(beta, alpha), (beta', alpha')] = (-1)^(|alpha| |beta|) Kb[beta, beta'] Ka[alpha, alpha'],
+    # exactly, with Ka and Kb the form on each player's generator pair
+    ka, kb = _KH[:4, :4], _KH[::4, ::4]
+    parity = (0, 1, 1, 0)
+    for x, y in np.ndindex(16, 16):
+        (bx, ax), (by, ay) = divmod(x, 4), divmod(y, 4)
+        sign = -1.0 if parity[ax] * parity[bx] else 1.0
+        assert _KH[x, y] == sign * kb[bx, by] * ka[ax, ay]
 
 
 def test_kernel_tables_reproduce_exact_algebra():
@@ -205,11 +244,15 @@ def test_kernel_tables_reproduce_exact_algebra():
         sign = -1.0 if parity[bx] * parity[ay] else 1.0
         assert np.array_equal(_M[x, y].reshape(4, 4), sign * np.outer(m2[bx, by], m1[ax, ay]))
     # each player's left-multiplication tables against products with the
-    # entries of the exact group elements: random angles, then none
+    # entries of the exact group elements: random angles, then none; the
+    # folded tables carry Ka^T on Alice's alpha' and Kb on Bob's beta'
+    ka, kb = _KH[:4, :4], _KH[::4, ::4]
     for angle_scale in (3.0, 0.0):
-        vec = np.array([rng.uniform(-1, 1) for _ in range(4)]
-                       + [rng.uniform(-angle_scale, angle_scale) for _ in range(8)])
-        alice, bob = (_local_coefficients(vec) @ _LOCAL).reshape(2, 2, 3, 4, 3, 4)
+        vec = ([rng.uniform(-1, 1) for _ in range(4)]
+               + [rng.uniform(-angle_scale, angle_scale) for _ in range(8)])
+        (alice, alice_folded), (bob, bob_folded) = _complex_tables(vec)
+        assert np.max(np.abs(alice_folded - alice @ ka.T)) <= 1e-14
+        assert np.max(np.abs(bob_folded - np.einsum("ab,skbld->skald", kb, bob))) <= 1e-14
         for setting in range(2):
             za = local_rotation(vec[setting], vec[4 + 2 * setting], vec[5 + 2 * setting], pair=1)
             zb = local_rotation(vec[2 + setting], vec[8 + 2 * setting], vec[9 + 2 * setting], pair=2)
@@ -283,6 +326,27 @@ def test_win_sets_match_bit_announcement_rule():
 # -- optimizer ---------------------------------------------------------------------
 
 
+def test_objective_is_the_penalized_win_probability():
+    # bit for bit, at points inside the box, on its edge and outside it
+    # (where the objective holds the displacements in the box)
+    rng = np.random.default_rng(23)
+    stages = (_penalty_schedule(OptimizeConfig())
+              + _penalty_schedule(OptimizeConfig(quantum_only=True)))
+    for penalty, _, lead in stages:
+        f = _objective(penalty, lead)
+        free = max(0, 6 - len(lead))
+        for kind in ("in", "edge", "out"):
+            x = rng.uniform(-math.pi, math.pi, 14 - len(lead))
+            x[:free] = {"in": rng.uniform(-0.45, 0.45, free),
+                        "edge": rng.choice((-BOX_LIMIT, BOX_LIMIT), free),
+                        "out": rng.uniform(-0.9, 0.9, free)}[kind]
+            vec = np.concatenate((lead, x))
+            vec[:6] = np.clip(vec[:6], -BOX_LIMIT, BOX_LIMIT)
+            tables = fast_outcome_tables(Strategy.from_vector(vec))
+            viol = _table_violation(tables)
+            assert f(x) == -(_pwin_from_tables(tables) - penalty * viol * viol)
+
+
 def test_optimize_zero_iterations_returns_seeded_start():
     cfg = OptimizeConfig(seed=9, restarts=1, max_iters=0)
     res = optimize(cfg)
@@ -321,6 +385,16 @@ def test_optimize_result_is_recomputed_exactly():
     assert res.p_win == pytest.approx(win_prob(res.strategy), abs=1e-14)
     assert res.violation == pytest.approx(constraint_violation(res.strategy), abs=1e-14)
     assert len(res.tables) == 4
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # only optimize needs scipy; chsh.minimize imports it on its first call
+    code = "import sys, superqubit, superqubit.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(superqubit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_single_restarts_at_default_budget_beat_quantum_bound():

@@ -372,3 +372,13 @@ def test_scan_transition_grid_script_rejects_a_single_point():
     proc = _run_scan_script("--points", "1")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def test_scan_transition_grid_script_rejects_non_finite_values():
+    for flag in ("--extent", "--theta", "--phi"):
+        proc = _run_scan_script("--points", "2", flag, "nan")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"error: {flag} must be a finite number" in proc.stderr
+    proc = _run_scan_script("--points", "2", "--extent", "inf")
+    assert proc.returncode == 2
