@@ -12,7 +12,7 @@ The package is organized in layers:
 - ``superstate``: superqubit states, graded inner products, transition
   probabilities, measurement, tensor products, compactified displacements.
 - ``chsh``: the three-outcome referee game, exact and vectorized evaluators,
-  classical/quantum baselines, and the penalized multi-start optimizer.
+  classical/quantum baselines, and the constrained multi-start optimizer.
 - ``cli``: the ``superqubit`` command-line tool.
 """
 

@@ -24,13 +24,15 @@ The shared state, the layout of U and the outcome signs are read from the
 exact algebra too, so no sign convention is restated here.  The test suite
 cross-checks it against the exact path.
 
-The search (optimize) is a seeded multi-start Nelder-Mead in two penalty
-stages.  The optimum lies on the family where one party holds all the
-displacement, so a full-space restart runs its first stage on that family
-with Bob displaced: p_a = r = 0 and p_b = 1/2 held fixed, s and the eight
-angles searched.  The stiff polish then releases all 14 parameters.  The
-sign of either party's displacements and the exchange of the parties leave
-every table unchanged, so this family stands for its three mirror images.
+The search (optimize) is a seeded multi-start SLSQP that maximizes p_win
+under the 72 constraints 0 <= t <= 1 on the four tables, with the free
+displacements bounded to the box and the angles unbounded.  The optimum
+lies on the family where one party holds all the displacement, so a
+full-space restart runs its first stage on that family with Bob displaced:
+p_a = r = 0 and p_b = 1/2 held fixed, s and the eight angles searched.  A
+second stage then releases all 14 parameters.  The sign of either party's
+displacements and the exchange of the parties leave every table unchanged,
+so this family stands for its three mirror images.
 
 Winning rule: outcomes 1 and bullet both announce bit 1; the players win
 when a XOR b = i AND j, each referee question pair weighted 1/4.
@@ -434,44 +436,47 @@ class OptimizationResult:
 _FREE = ()
 _FAMILY = (0.0, BOX_LIMIT, 0.0, 0.0)
 _ROTATION_ONLY = (0.0,) * 6
+# the fixed entries of each stage, by quantum_only
+_STAGES = {False: (_FAMILY, _FREE), True: (_ROTATION_ONLY,)}
 
-# penalty weights of the two stages; largest violation of a feasible restart
-PENALTY_WEIGHT = 1e3
-STIFF_WEIGHT = 1e9
+# largest violation of a feasible restart; SLSQP's stop tolerance: a stage
+# stops when -p_win changes by less and its 72 constraints are violated by
+# less in total
 FEASIBILITY_TOL = 1e-9
+STOP_TOL = 1e-15
 
 
-def _embed(x: np.ndarray, lead: tuple) -> list[float]:
-    """Full strategy vector of a search point x behind the fixed entries
-    lead, displacements held in the box (the angles are free)."""
-    v = [*lead, *x.tolist()]
-    v[:6] = [BOX_LIMIT if d > BOX_LIMIT else -BOX_LIMIT if d < -BOX_LIMIT else d for d in v[:6]]
-    return v
+def _stage_problem(lead: tuple) -> dict:
+    """SLSQP's objective -p_win, its 72 constraints t >= 0 and 1 - t >= 0
+    on the four tables, and its bounds, for a search point behind the fixed
+    entries lead: the free displacements in the box, the angles unbounded.
+    SLSQP asks for the objective and the constraints at the same points,
+    finite-difference neighbours included, so the tables of the last 15
+    points (an iterate and its 14 neighbours) are kept."""
+    kept = {}  # flattened tables by the point's bytes, oldest first
 
+    def tables(x):
+        key = x.tobytes()
+        if key not in kept:
+            if len(kept) == 15:
+                del kept[next(iter(kept))]
+            kept[key] = _fast_tables([*lead, *x.tolist()]).ravel()
+        return kept[key]
 
-def _objective(penalty: float, lead: tuple):
-    def f(x):
-        t = _fast_tables(_embed(x, lead))
-        v = _table_violation(t)
-        return -(_pwin_from_tables(t) - penalty * v * v)
-    return f
+    def constraints(x):
+        t = tables(x)
+        return np.concatenate((t, 1.0 - t))
 
-
-def _penalty_schedule(config: OptimizeConfig):
-    """(penalty weight, iterations, fixed leading entries) of each stage.
-
-    Quadratic penalties leave a residual violation of order
-    (multiplier / weight), so each restart polishes with a much stiffer
-    weight to push the residual below the feasibility tolerance.  A
-    full-space restart runs its first stage on the displaced-Bob family
-    and releases all 14 entries for the polish."""
-    polish = max(200, config.max_iters // 4)
-    first, last = (_ROTATION_ONLY,) * 2 if config.quantum_only else (_FAMILY, _FREE)
-    return ((PENALTY_WEIGHT, config.max_iters, first), (STIFF_WEIGHT, polish, last))
+    return {
+        "fun": lambda x: -_pwin_from_tables(tables(x)),
+        "constraints": {"type": "ineq", "fun": constraints},
+        "bounds": [(-BOX_LIMIT, BOX_LIMIT)] * max(0, 6 - len(lead)) + [(None, None)] * 8,
+    }
 
 
 def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
-    """Multi-start Nelder-Mead maximization of win_prob - penalty * violation^2.
+    """Multi-start SLSQP maximization of win_prob, with every one of the 36
+    probabilities held in [0, 1] and the displacements in the box.
 
     Restart k draws its start from SeedSequence([seed, k]) so the result
     is reproducible for a fixed master seed no matter how restarts are
@@ -479,9 +484,10 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
     restart index.  A full-space restart first searches the family where
     Bob holds every displacement (p_a = r = 0, p_b = 1/2; s and the eight
     angles free, taken from the draw), where the optimum lies, and then
-    polishes in all 14 entries; a rotation-only restart searches its eight
-    angles in both stages.  Returns the best feasible point, or an explicit
-    infeasible result (feasible=False) when no restart meets tolerance.
+    releases all 14 entries; a rotation-only restart searches its eight
+    angles once.  max_iters caps the iterations of each stage.  Returns the
+    best feasible point, or an explicit infeasible result (feasible=False)
+    when no restart meets tolerance.
     """
     total_iters = 0
     best = None       # (p_win, restart index, vector)
@@ -495,22 +501,12 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
                 rng.uniform(-BOX_LIMIT, BOX_LIMIT, 6),
                 rng.uniform(-math.pi, math.pi, 8),
             ])
-        if config.max_iters > 0:
-            for penalty, iters, lead in _penalty_schedule(config):
-                res = minimize(
-                    _objective(penalty, lead), vec[len(lead):],
-                    method="Nelder-Mead",
-                    options={
-                        "maxiter": iters,
-                        "maxfev": 10 * iters + 200,
-                        "xatol": 1e-11,
-                        "fatol": 1e-13,
-                        "adaptive": True,
-                    },
-                )
-                vec = np.concatenate((lead, res.x))
-                total_iters += int(res.nit)
-        vec = _embed(vec, _FREE)
+        for lead in _STAGES[config.quantum_only] if config.max_iters > 0 else ():
+            res = minimize(x0=vec[len(lead):], method="SLSQP", **_stage_problem(lead),
+                           options={"maxiter": config.max_iters, "ftol": STOP_TOL})
+            vec = np.concatenate((lead, res.x))
+            total_iters += int(res.nit)
+        vec = vec.tolist()
         t = _fast_tables(vec)
         pwin = _pwin_from_tables(t)
         viol = _table_violation(t)
@@ -518,12 +514,8 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
             best = (pwin, rix, vec)
         if fallback is None or viol < fallback[0]:
             fallback = (viol, rix, vec)
-    if best is not None:
-        _, rix, vec = best
-        feasible = True
-    else:
-        _, rix, vec = fallback
-        feasible = False
+    feasible = best is not None
+    _, rix, vec = best if feasible else fallback
     strat = Strategy.from_vector(vec)
     # report through the exact path: the fast kernel only steers the search
     tables = tuple(tuple(outcome_probs(i, j, strat)) for (i, j) in SETTINGS)

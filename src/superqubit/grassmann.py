@@ -22,6 +22,7 @@ Everything here is a pure function on immutable values.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 PRUNE_TOL = 1e-14
@@ -119,7 +120,10 @@ class Supernumber:
                 if not 0 <= mask < top:
                     raise ValueError(f"monomial mask {mask} out of range for order {order}")
                 c = complex(c)
-                if abs(c) > PRUNE_TOL:
+                size = abs(c)
+                if not size <= PRUNE_TOL:  # a NaN passes the zero test
+                    if not size < math.inf:
+                        raise ValueError(f"coefficient {c!r} on mask {mask} is not finite")
                     cleaned[mask] = c
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_terms", cleaned)
@@ -332,8 +336,9 @@ def _new(order: int, terms: dict[int, complex]) -> Supernumber:
 
 
 def _pruned(order: int, terms: dict[int, complex]) -> Supernumber:
-    """Apply the zero rule (drop |c| <= PRUNE_TOL) once, to a finished result."""
-    return _new(order, {m: c for m, c in terms.items() if abs(c) > PRUNE_TOL})
+    """Apply the zero rule (drop |c| <= PRUNE_TOL) once, to a finished result;
+    a NaN stays."""
+    return _new(order, {m: c for m, c in terms.items() if not abs(c) <= PRUNE_TOL})
 
 
 def _sum_of_products(order: int, pairs) -> Supernumber:

@@ -1,6 +1,6 @@
 """The three-outcome referee game: win sets, exact and vectorized evaluators,
 plain complex-amplitude cross-check, classical and rotation-only baselines,
-and the penalized multi-start optimizer."""
+and the constrained multi-start optimizer."""
 
 import itertools
 import math
@@ -21,6 +21,7 @@ from superqubit.chsh import (
     _BOB,
     _KH,
     _M,
+    _STAGES,
     BOX_LIMIT,
     OUTCOME_LABELS,
     SETTINGS,
@@ -30,10 +31,8 @@ from superqubit.chsh import (
     Strategy,
     _fast_amplitudes,
     _local_coefficients,
-    _objective,
-    _penalty_schedule,
     _pwin_from_tables,
-    _table_violation,
+    _stage_problem,
     best_classical_win_prob,
     constraint_violation,
     fast_outcome_tables,
@@ -154,7 +153,7 @@ def test_fast_tables_match_exact_evaluator():
     for _ in range(4):
         edge = [rng.choice((-BOX_LIMIT, BOX_LIMIT)) for _ in range(6)]
         strategies.append(Strategy.from_vector(edge + _random_strategy(rng).to_vector()[6:]))
-    # Nelder-Mead leaves the angles unbounded
+    # the SLSQP search leaves the angles unbounded
     for scale in (50.0, 1e3):
         for _ in range(4):
             angles = [rng.uniform(-scale, scale) for _ in range(8)]
@@ -326,25 +325,34 @@ def test_win_sets_match_bit_announcement_rule():
 # -- optimizer ---------------------------------------------------------------------
 
 
-def test_objective_is_the_penalized_win_probability():
-    # bit for bit, at points inside the box, on its edge and outside it
-    # (where the objective holds the displacements in the box)
+def test_stage_problem_is_the_constrained_win_probability():
+    # bit for bit, at points inside the box and on its edge, for every stage
+    # of both modes; the points alternate so a stale kept table would show
     rng = np.random.default_rng(23)
-    stages = (_penalty_schedule(OptimizeConfig())
-              + _penalty_schedule(OptimizeConfig(quantum_only=True)))
-    for penalty, _, lead in stages:
-        f = _objective(penalty, lead)
+    for lead in _STAGES[False] + _STAGES[True]:
+        problem = _stage_problem(lead)
+        fun, constraints = problem["fun"], problem["constraints"]["fun"]
         free = max(0, 6 - len(lead))
-        for kind in ("in", "edge", "out"):
+        assert problem["bounds"] == [(-BOX_LIMIT, BOX_LIMIT)] * free + [(None, None)] * 8
+        assert problem["constraints"]["type"] == "ineq"
+        for kind in ("in", "edge", "in", "edge"):
             x = rng.uniform(-math.pi, math.pi, 14 - len(lead))
             x[:free] = {"in": rng.uniform(-0.45, 0.45, free),
-                        "edge": rng.choice((-BOX_LIMIT, BOX_LIMIT), free),
-                        "out": rng.uniform(-0.9, 0.9, free)}[kind]
-            vec = np.concatenate((lead, x))
-            vec[:6] = np.clip(vec[:6], -BOX_LIMIT, BOX_LIMIT)
-            tables = fast_outcome_tables(Strategy.from_vector(vec))
-            viol = _table_violation(tables)
-            assert f(x) == -(_pwin_from_tables(tables) - penalty * viol * viol)
+                        "edge": rng.choice((-BOX_LIMIT, BOX_LIMIT), free)}[kind]
+            tables = fast_outcome_tables(Strategy.from_vector(np.concatenate((lead, x))))
+            t = tables.ravel()
+            for _ in range(2):  # fresh, then from the kept tables
+                assert fun(x) == -_pwin_from_tables(tables)
+                assert np.array_equal(constraints(x), np.concatenate((t, 1.0 - t)))
+
+
+def test_restarts_once_left_infeasible_are_feasible():
+    # single restarts that once ended just outside FEASIBILITY_TOL (3.5e-9
+    # and 2.3e-8); with the bounds as constraints they end inside them
+    for seed in (4007, 4018):
+        res = optimize(OptimizeConfig(seed=seed, restarts=1))
+        assert res.feasible
+        assert res.violation <= 1e-14
 
 
 def test_optimize_zero_iterations_returns_seeded_start():

@@ -70,6 +70,17 @@ def test_tiny_coefficients_are_pruned():
     assert Supernumber(2, {0: 1.0, 1: 1e-16}).terms() == {0: (1 + 0j)}
 
 
+def test_non_finite_coefficients_do_not_vanish():
+    # the zero rule must not drop a NaN: construction rejects a non-finite
+    # coefficient, and a NaN arithmetic result stays visible
+    for bad in (math.nan, complex(0.0, math.nan), math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            Supernumber(2, {0: bad})
+    total = Supernumber.one(2) * math.nan + 1
+    assert list(total.terms()) == [0]
+    assert math.isnan(abs(total.terms()[0]))
+
+
 def test_equality_uses_comparison_tolerance():
     a = Supernumber(2, {1: 1.0})
     assert a == Supernumber(2, {1: 1.0 + 0.1 * COMPARE_TOL})

@@ -633,6 +633,10 @@ def test_text_parser_rejects_malformed_input():
         state_from_text(text.replace("ket 1", "ket 01"))  # |1> with a leading digit
     with pytest.raises(ValueError):
         state_from_text("")
+    nan_term = text.replace("term - 0.9800665778412416 0.0", "term - nan 0.0")
+    assert nan_term != text
+    with pytest.raises(ValueError, match="not finite"):  # not dropped as zero
+        state_from_text(nan_term)
     for header in ("parties", "order", "ket"):
         with pytest.raises(ValueError, match=f"'{header}'"):
             state_from_text(f"superqubit-state v1\n{header}\nend\n")
