@@ -425,8 +425,6 @@ class OptimizationResult:
     violation: float
     tables: tuple[tuple[float, ...], ...]
     feasible: bool
-    seed: int
-    restarts: int
     iterations: int
     best_restart: int
 
@@ -523,6 +521,5 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
     viol = constraint_violation(strat, tables)
     return OptimizationResult(
         strategy=strat, p_win=pwin, violation=viol, tables=tables,
-        feasible=feasible, seed=config.seed, restarts=config.restarts,
-        iterations=total_iters, best_restart=rix,
+        feasible=feasible, iterations=total_iters, best_restart=rix,
     )

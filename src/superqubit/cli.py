@@ -166,7 +166,7 @@ def _pairing(u: Supermatrix, v: Supermatrix) -> Supernumber:
     return (u.grade_adjoint() @ v)[0, 0]
 
 
-def _checks(inject_sign_fault: bool):
+def _checks():
     """Yield (name, residual, tolerance) for every verified identity."""
     rng = random.Random(20240917)
 
@@ -243,7 +243,7 @@ def _checks(inject_sign_fault: bool):
             worst = max(worst, matrix_residual(zeta * x + x * zeta))
     yield "supertrace cyclicity; odd scalars anticommute with odd matrices", worst, 1e-12
 
-    # grade adjoint pairing (sign fault hook lives here)
+    # grade adjoint pairing
     worst = 0.0
     for order in (2, 4):
         for spar in (0, 1):
@@ -261,8 +261,6 @@ def _checks(inject_sign_fault: bool):
                     lhs = _pairing(s_mat @ z, w)
                     rhs = _pairing(z, s_mat.grade_adjoint() @ w)
                     sign = -1 if (spar * zpar) else 1
-                    if inject_sign_fault:
-                        sign = 1
                     worst = max(worst, max_abs_coeff(lhs - rhs * sign))
     yield "grade adjoint moves across the pairing with (-1)^(|S||z|)", worst, 1e-12
 
@@ -322,9 +320,9 @@ def _checks(inject_sign_fault: bool):
     yield "game baselines; vectorized evaluator matches exact path", worst, 1e-10
 
 
-def cmd_verify(inject_sign_fault: bool = False, verbose: bool = False) -> int:
+def cmd_verify(verbose: bool = False) -> int:
     failures = 0
-    for name, resid, tol in _checks(inject_sign_fault):
+    for name, resid, tol in _checks():
         ok = resid < tol
         if not ok:
             failures += 1
@@ -496,8 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the algebraic property suite")
     p_verify.add_argument("--verbose", action="store_true",
                           help="print per-check residual magnitudes")
-    p_verify.add_argument("--inject-sign-fault", action="store_true",
-                          help=argparse.SUPPRESS)
 
     p_state = sub.add_parser("state", help="print a superqubit state and its "
                                            "measurement probabilities")
@@ -565,8 +561,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(inject_sign_fault=args.inject_sign_fault,
-                              verbose=args.verbose)
+            return cmd_verify(verbose=args.verbose)
         if args.command == "state":
             return cmd_state(args.p, args.theta, args.phi, json_out=args.json)
         if args.command == "transition":

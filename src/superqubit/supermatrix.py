@@ -7,14 +7,14 @@ s, the entry at (i, j) must be a homogeneous Supernumber of parity
 this reproduces the usual A/B/C/D block picture; permuted orders (as
 produced by the graded tensor product) are equally valid.
 
-Inhomogeneous matrices are formal even+odd sums (declared parity None);
-every parity-sensitive operation acts per homogeneous part.
+Every supermatrix is homogeneous: sums need equal declared parities (a
+zero matrix has either) and scalars must be homogeneous supernumbers.
 
-Results of arithmetic (@, +, entrywise maps, even/odd parts, scalar
-multiples, supertranspose, graded_kron) are built by an internal
-constructor that trusts the grid and the parity labels; each entry of a
-product is one fused sum of products (grassmann's _sum_of_products),
-pruned once.  The public constructor always validates.
+Results of arithmetic (@, +, entrywise maps, scalar multiples,
+supertranspose, graded_kron) are built by an internal constructor that
+trusts the grid and the parity labels; each entry of a product is one
+fused sum of products (grassmann's _sum_of_products), pruned once.  The
+public constructor always validates.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class Supermatrix:
     def __init__(self, entries, row_parity, col_parity, parity, order=None):
         row_parity = _as_parity_tuple(row_parity)
         col_parity = _as_parity_tuple(col_parity)
-        if parity not in (0, 1, None):
-            raise ValueError("parity must be 0 (even), 1 (odd) or None (inhomogeneous)")
+        if parity not in (0, 1):
+            raise ValueError(f"parity must be 0 (even) or 1 (odd), got {parity!r}")
         rows = []
         for r in entries:
             rows.append(tuple(r))
@@ -80,8 +80,7 @@ class Supermatrix:
         object.__setattr__(self, "col_parity", col_parity)
         object.__setattr__(self, "entries", tuple(grid))
         object.__setattr__(self, "parity", parity)
-        if parity is not None:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("Supermatrix is immutable")
@@ -149,21 +148,9 @@ class Supermatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def _map(self, f, parity) -> "Supermatrix":
+    def _map(self, f) -> "Supermatrix":
         grid = tuple(tuple(f(e) for e in r) for r in self.entries)
-        return _new(grid, self.row_parity, self.col_parity, parity, self.order)
-
-    def even_part(self) -> "Supermatrix":
-        grid = tuple(tuple(e.even_part() if (rp + cp) % 2 == 0 else e.odd_part()
-                           for cp, e in zip(self.col_parity, row))
-                     for rp, row in zip(self.row_parity, self.entries))
-        return _new(grid, self.row_parity, self.col_parity, 0, self.order)
-
-    def odd_part(self) -> "Supermatrix":
-        grid = tuple(tuple(e.odd_part() if (rp + cp) % 2 == 0 else e.even_part()
-                           for cp, e in zip(self.col_parity, row))
-                     for rp, row in zip(self.row_parity, self.entries))
-        return _new(grid, self.row_parity, self.col_parity, 1, self.order)
+        return _new(grid, self.row_parity, self.col_parity, self.parity, self.order)
 
     # -- linear structure ----------------------------------------------------
 
@@ -177,13 +164,17 @@ class Supermatrix:
         if not isinstance(other, Supermatrix):
             return NotImplemented
         self._check_same_shape(other)
-        parity = self.parity if self.parity == other.parity else None
+        parity = self.parity
+        if other.parity != parity and not other.is_zero(0.0):
+            if not self.is_zero(0.0):  # a zero matrix has either parity
+                raise ParityError("cannot add an even and an odd supermatrix")
+            parity = other.parity
         grid = tuple(tuple(a + b for a, b in zip(ra, rb))
                      for ra, rb in zip(self.entries, other.entries))
         return _new(grid, self.row_parity, self.col_parity, parity, self.order)
 
     def __neg__(self):
-        return self._map(lambda e: -e, self.parity)
+        return self._map(lambda e: -e)
 
     def __sub__(self, other):
         if not isinstance(other, Supermatrix):
@@ -211,11 +202,8 @@ class Supermatrix:
         cols = tuple(zip(*other.entries))
         grid = tuple(tuple(_sum_of_products(order, zip(row, col)) for col in cols)
                      for row in self.entries)
-        if self.parity is None or other.parity is None:
-            parity = None
-        else:
-            parity = (self.parity + other.parity) % 2
-        return _new(grid, self.row_parity, other.col_parity, parity, order)
+        return _new(grid, self.row_parity, other.col_parity,
+                    (self.parity + other.parity) % 2, order)
 
     def __eq__(self, other):
         if not isinstance(other, Supermatrix):
@@ -224,6 +212,8 @@ class Supermatrix:
             return False
         if self.order != other.order:
             return False
+        if self.parity != other.parity:
+            return self.is_zero() and other.is_zero()
         return (self - other).is_zero()
 
     __hash__ = None
@@ -231,8 +221,6 @@ class Supermatrix:
     # -- graded operations ---------------------------------------------------
 
     def supertranspose(self) -> "Supermatrix":
-        if self.parity is None:
-            return self.even_part().supertranspose() + self.odd_part().supertranspose()
         s = self.parity
         n, m = self.shape
         grid = []
@@ -253,7 +241,7 @@ class Supermatrix:
 
     def hash(self) -> "Supermatrix":
         """Entrywise hash involution (preserves parity labels)."""
-        return self._map(lambda e: e.hash(), self.parity)
+        return self._map(lambda e: e.hash())
 
     def grade_adjoint(self) -> "Supermatrix":
         return self.hash().supertranspose()
@@ -287,8 +275,6 @@ def supertrace(s: Supermatrix) -> Supernumber:
     """Tr(A) - (-1)^|S| Tr(D) over the graded diagonal."""
     if not s.is_square():
         raise DimensionMismatch("supertrace needs matching row/column parities")
-    if s.parity is None:
-        return supertrace(s.even_part()) + supertrace(s.odd_part())
     acc = Supernumber.zero(s.order)
     for i, rp in enumerate(s.row_parity):
         e = s.entries[i][i]
@@ -298,31 +284,31 @@ def supertrace(s: Supermatrix) -> Supernumber:
     return acc
 
 
-def scalar_left(zeta, s: Supermatrix) -> Supermatrix:
-    """zeta * S with the row-parity sign (-1)^(|zeta| |i|)."""
+def _homogeneous_scalar(zeta, order) -> tuple[Supernumber, int]:
+    """zeta as a Supernumber of the given order, with its parity."""
     if not isinstance(zeta, Supernumber):
-        zeta = Supernumber.from_complex(zeta, s.order)
+        zeta = Supernumber.from_complex(zeta, order)
     zp = zeta.parity()
     if zp is None:
-        return scalar_left(zeta.even_part(), s) + scalar_left(zeta.odd_part(), s)
+        raise ParityError("a supermatrix can only be scaled by a homogeneous supernumber")
+    return zeta, zp
+
+
+def scalar_left(zeta, s: Supermatrix) -> Supermatrix:
+    """zeta * S with the row-parity sign (-1)^(|zeta| |i|)."""
+    zeta, zp = _homogeneous_scalar(zeta, s.order)
     grid = tuple(tuple(zeta * e if rp == 0 or zp == 0 else -(zeta * e) for e in row)
                  for rp, row in zip(s.row_parity, s.entries))
-    parity = None if s.parity is None else (s.parity + zp) % 2
-    return _new(grid, s.row_parity, s.col_parity, parity, s.order)
+    return _new(grid, s.row_parity, s.col_parity, (s.parity + zp) % 2, s.order)
 
 
 def scalar_right(s: Supermatrix, zeta) -> Supermatrix:
     """S * zeta with the column-parity sign (-1)^(|zeta| |j|)."""
-    if not isinstance(zeta, Supernumber):
-        zeta = Supernumber.from_complex(zeta, s.order)
-    zp = zeta.parity()
-    if zp is None:
-        return scalar_right(s, zeta.even_part()) + scalar_right(s, zeta.odd_part())
+    zeta, zp = _homogeneous_scalar(zeta, s.order)
     grid = tuple(tuple(e * zeta if cp == 0 or zp == 0 else -(e * zeta)
                        for cp, e in zip(s.col_parity, row))
                  for row in s.entries)
-    parity = None if s.parity is None else (s.parity + zp) % 2
-    return _new(grid, s.row_parity, s.col_parity, parity, s.order)
+    return _new(grid, s.row_parity, s.col_parity, (s.parity + zp) % 2, s.order)
 
 
 def graded_kron(a: Supermatrix, b: Supermatrix) -> Supermatrix:
@@ -355,9 +341,11 @@ def graded_kron(a: Supermatrix, b: Supermatrix) -> Supermatrix:
 
 
 def exp_nilpotent(s: Supermatrix) -> Supermatrix:
-    """Matrix exponential of a pure-soul (hence nilpotent) supermatrix."""
+    """Matrix exponential of an even pure-soul (hence nilpotent) supermatrix."""
     if not s.is_square():
         raise DimensionMismatch("exp needs a square matrix")
+    if s.parity != 0 and not s.is_zero(0.0):
+        raise ParityError("exp needs an even matrix: the powers of an odd one alternate parity")
     for row in s.entries:
         for e in row:
             if abs(e.body) > COMPARE_TOL:

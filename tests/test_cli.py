@@ -14,6 +14,7 @@ import pytest
 
 from superqubit import cli
 from superqubit.chsh import SETTINGS, OptimizeConfig, Strategy, outcome_probs
+from superqubit.supermatrix import Supermatrix
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 SCAN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scan_transition_grid.py"
@@ -86,11 +87,13 @@ def test_verify_passes(capsys):
     assert all(ln.startswith("[pass]") for ln in lines)
 
 
-def test_verify_reports_injected_fault(capsys):
-    assert cli.main(["verify", "--inject-sign-fault", "--verbose"]) == 1
+def test_verify_reports_injected_fault(monkeypatch, capsys):
+    # a grade adjoint that forgets the hash breaks superunitarity
+    monkeypatch.setattr(Supermatrix, "grade_adjoint", Supermatrix.supertranspose)
+    assert cli.main(["verify", "--verbose"]) == 1
     out = capsys.readouterr().out
-    assert "[FAIL]" in out
-    assert "[pass]" in out  # only the targeted check breaks
+    assert "[FAIL] one-parameter subgroup, closed form, superunitarity" in out
+    assert "[pass]" in out  # only the checks that use the grade adjoint can break
 
 
 # -- state and transition ----------------------------------------------------------

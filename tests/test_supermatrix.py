@@ -119,6 +119,28 @@ def test_addition_requires_matching_parities():
     b = Supermatrix.identity((1, 0), ORDER)
     with pytest.raises((ParityError, DimensionMismatch)):
         a + b
+    # every supermatrix is homogeneous: no even+odd sums, no mixed scalars
+    rng = random.Random(4)
+    even = rand_supermatrix(rng, P2, P2, 0, ORDER)
+    odd = rand_supermatrix(rng, P2, P2, 1, ORDER)
+    with pytest.raises(ParityError):
+        even + odd
+    with pytest.raises(ValueError):
+        Supermatrix(even.entries, P2, P2, None)
+    mixed = _one() + _eta()
+    with pytest.raises(ParityError):
+        scalar_left(mixed, even)
+    with pytest.raises(ParityError):
+        scalar_right(even, mixed)
+    z = Supernumber.zero(ORDER)
+    nilpotent_odd = Supermatrix([[_eta(), z], [z, _eta_hash()]], P2, P2, 1)
+    with pytest.raises(ParityError):
+        exp_nilpotent(nilpotent_odd)
+    # comparing across parities never raises; only the zero matrices agree
+    assert (even == odd) is False
+    assert Supermatrix.zeros(P2, P2, ORDER, parity=1) == Supermatrix.zeros(P2, P2, ORDER)
+    # the zero matrix has either parity, so it adds to both
+    assert odd + Supermatrix.zeros(P2, P2, ORDER) == odd
 
 
 @settings(max_examples=25, deadline=None)
@@ -156,15 +178,6 @@ def test_matmul_identity_neutral():
     ident = Supermatrix.identity(P3, ORDER)
     assert ident @ m == m
     assert m @ ident == m
-
-
-def test_even_odd_split():
-    rng = random.Random(4)
-    even = rand_supermatrix(rng, P2, P2, 0, ORDER)
-    odd = rand_supermatrix(rng, P2, P2, 1, ORDER)
-    total = even + odd
-    assert total.even_part() == even
-    assert total.odd_part() == odd
 
 
 # -- supertranspose ----------------------------------------------------------------
@@ -213,14 +226,6 @@ def test_supertranspose_composition_law(px, py, seed):
     lhs = (x @ y).supertranspose()
     rhs = sign * (y.supertranspose() @ x.supertranspose())
     assert matrix_residual(lhs - rhs) < 1e-10
-
-
-def test_supertranspose_is_linear():
-    rng = random.Random(9)
-    even = rand_supermatrix(rng, P2, P2, 0, ORDER)
-    odd = rand_supermatrix(rng, P2, P2, 1, ORDER)
-    lhs = (even + odd).supertranspose()
-    assert lhs == even.supertranspose() + odd.supertranspose()
 
 
 # -- hash and grade adjoint --------------------------------------------------------
@@ -283,13 +288,6 @@ def test_supertrace_graded_cyclicity(px, py, seed):
     sign = -1 if px * py else 1
     d = supertrace(x @ y) - sign * supertrace(y @ x)
     assert max_abs_coeff(d) < 1e-10
-
-
-def test_supertrace_linear_on_mixed_matrices():
-    rng = random.Random(21)
-    even = rand_supermatrix(rng, P3, P3, 0, ORDER)
-    odd = rand_supermatrix(rng, P3, P3, 1, ORDER)
-    assert supertrace(even + odd) == supertrace(even) + supertrace(odd)
 
 
 def test_supertrace_invariant_under_supertranspose():
@@ -378,6 +376,9 @@ def test_graded_kron_supertrace_multiplicative(seed):
 
 def test_exp_nilpotent_of_zero():
     z = Supermatrix.zeros(P3, P3, ORDER)
+    assert exp_nilpotent(z) == Supermatrix.identity(P3, ORDER)
+    # a zero matrix has either parity, so an odd-declared one is allowed too
+    z = Supermatrix.zeros(P3, P3, ORDER, parity=1)
     assert exp_nilpotent(z) == Supermatrix.identity(P3, ORDER)
 
 

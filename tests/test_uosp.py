@@ -70,6 +70,10 @@ def test_algebra_element_is_anti_self_adjoint():
         p = rng.uniform(-1, 1)
         x = algebra_element(xi, p, ORDER)
         assert matrix_residual(x.grade_adjoint() + x) < 1e-14
+    # at p = 0 the odd part is a zero matrix, which adds to the even part
+    x = algebra_element((0.3, -0.2, 0.1), 0.0, ORDER)
+    assert x.parity == 0
+    assert matrix_residual(x.grade_adjoint() + x) < 1e-14
 
 
 def test_algebra_element_sign_flip_breaks_anti_self_adjointness():
