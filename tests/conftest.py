@@ -10,7 +10,7 @@ from superqubit.supermatrix import Supermatrix
 
 def coefficient_gap(a: Supernumber, b: Supernumber) -> float:
     """Largest coefficient difference of two supernumbers, compared term by
-    term (a subtraction would prune differences within its rounding bound)."""
+    term (a subtraction would prune differences below PRUNE_TOL)."""
     ta, tb = a.terms(), b.terms()
     return max((abs(ta.get(m, 0j) - tb.get(m, 0j)) for m in ta.keys() | tb.keys()), default=0.0)
 
