@@ -50,35 +50,21 @@ class Supermatrix:
         col_parity = _as_parity_tuple(col_parity)
         if parity not in (0, 1):
             raise ValueError(f"parity must be 0 (even) or 1 (odd), got {parity!r}")
-        rows = []
-        for r in entries:
-            rows.append(tuple(r))
+        rows = [tuple(r) for r in entries]
         if len(rows) != len(row_parity) or any(len(r) != len(col_parity) for r in rows):
             raise DimensionMismatch("entry grid does not match the parity labels")
         if order is None:
-            for r in rows:
-                for e in r:
-                    if isinstance(e, Supernumber):
-                        order = e.order
-                        break
-                if order is not None:
-                    break
+            order = next((e.order for r in rows for e in r if isinstance(e, Supernumber)), None)
             if order is None:
                 raise ValueError("cannot infer algebra order from scalar-only entries")
-        grid = []
-        for r in rows:
-            grid.append(tuple(
-                e if isinstance(e, Supernumber) else Supernumber.from_complex(e, order)
-                for e in r
-            ))
-        for r in grid:
-            for e in r:
-                if e.order != order:
-                    raise DimensionMismatch("mixed algebra orders in one matrix")
+        grid = tuple(tuple(e if isinstance(e, Supernumber) else Supernumber.from_complex(e, order)
+                           for e in r) for r in rows)
+        if any(e.order != order for r in grid for e in r):
+            raise DimensionMismatch("mixed algebra orders in one matrix")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "row_parity", row_parity)
         object.__setattr__(self, "col_parity", col_parity)
-        object.__setattr__(self, "entries", tuple(grid))
+        object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "parity", parity)
         self._validate()
 
