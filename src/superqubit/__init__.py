@@ -37,14 +37,10 @@ from .supermatrix import (
     Supermatrix,
     exp_nilpotent,
     graded_kron,
-    scalar_left,
-    scalar_right,
     supertrace,
 )
 from .uosp import (
-    GroupElementParams,
     algebra_element,
-    exp_odd,
     generators,
     group_element,
     odd_exponent,
@@ -105,12 +101,8 @@ __all__ = [
     "Supermatrix",
     "exp_nilpotent",
     "graded_kron",
-    "scalar_left",
-    "scalar_right",
     "supertrace",
-    "GroupElementParams",
     "algebra_element",
-    "exp_odd",
     "generators",
     "group_element",
     "odd_exponent",

@@ -48,17 +48,15 @@ from functools import lru_cache
 import numpy as np
 
 from .grassmann import Supernumber, modified_rogers
-from .superstate import _OUTCOME_SIGN, apply_local, measure_real, upsilon
+from .superstate import BOX_LIMIT, _OUTCOME_SIGN, apply_local, label_of, measure_real, upsilon
 from .supermatrix import Supermatrix
 from .uosp import VEC_PARITY, s_matrix, u_matrix, u_matrix_from_amplitudes
 
-OUTCOME_LABELS = ("00", "01", "0*", "10", "11", "1*", "*0", "*1", "**")
+OUTCOME_LABELS = tuple(label_of(k, 2, ascii_bullet=True) for k in range(9))
 # outcome in {1, bullet} announces bit 1
 WIN_SAME = (0, 4, 5, 7, 8)   # 00, 11, 1*, *1, **
 WIN_DIFF = (1, 2, 3, 6)      # 01, 10, 0*, *0
 SETTINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-BOX_LIMIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -276,20 +274,17 @@ def _build_local_tables():
     u = np.stack((u0, (plus - minus) / 2, re - u0, im - u0))
     alice = np.einsum("nima,abc,qmj->qnjbic", _S_POWERS[0, ..., :4], _M[:4, :4, :4], u)
     bob = np.einsum("nkmb,bcd,qml->qnkdlc", _S_POWERS[1, ..., ::4], _M[::4, ::4, ::4], u)
-    return np.stack((alice.reshape(12, 144), bob.reshape(12, 144)))
-
-
-_LOCAL = _build_local_tables()
+    return alice.reshape(12, 12, 12), bob.reshape(12, 12, 12)
 
 
 def _build_real_tables():
-    """_LOCAL on real arithmetic, plain (fold 0) and folded (fold 1).
+    """_build_local_tables on real arithmetic, plain (fold 0) and folded (fold 1).
 
     _ALICE[re, fold, (q, n), (j, alpha, re', i, alpha')] is row block re of
     [[Ar, Ai], [-Ai, Ar]] for L1(Z_ij), times Ka^T on alpha' in fold 1;
     _BOB[(re, fold), (q, n), (k, beta', l, beta)] is Br (re 0) or Bi (re 1)
     for L2(Z_kl)^T, times Kb on beta' in fold 1."""
-    alice, bob = _LOCAL.reshape(2, 12, 12, 12)
+    alice, bob = _build_local_tables()
     alice = np.stack((alice, alice @ np.kron(np.eye(3), _KA.T)))
     bob = np.stack((bob, np.kron(np.eye(3), _KB) @ bob))
     alice = np.stack((np.concatenate((alice.real, alice.imag), axis=-1),
@@ -310,8 +305,8 @@ _WEIGHTS = _WEIGHTS.reshape(288, 9)
 
 def _local_coefficients(v) -> np.ndarray:
     """Coordinates [party, setting, (q, n)] of the four local group elements
-    on the basis of _LOCAL, from the displacements r, s (v[:4]) and the
-    eight angles (v[4:])."""
+    on the basis of _build_local_tables, from the displacements r, s (v[:4])
+    and the eight angles (v[4:])."""
     # math on Python floats costs less than numpy's per-call overhead, and
     # it is the same libm the exact path (uosp.u_matrix) uses
     out = []
@@ -450,23 +445,18 @@ def _stage_problem(lead: tuple) -> dict:
     entries lead: the free displacements in the box, the angles unbounded.
     SLSQP asks for the objective and the constraints at the same points,
     finite-difference neighbours included, so the tables of the last 15
-    points (an iterate and its 14 neighbours) are kept."""
-    kept = {}  # flattened tables by the point's bytes, oldest first
+    points (an iterate and its 14 neighbours) are cached by their bytes."""
 
-    def tables(x):
-        key = x.tobytes()
-        if key not in kept:
-            if len(kept) == 15:
-                del kept[next(iter(kept))]
-            kept[key] = _fast_tables([*lead, *x.tolist()]).ravel()
-        return kept[key]
+    @lru_cache(maxsize=15)
+    def tables(point: bytes) -> np.ndarray:
+        return _fast_tables([*lead, *np.frombuffer(point).tolist()]).ravel()
 
     def constraints(x):
-        t = tables(x)
+        t = tables(x.tobytes())
         return np.concatenate((t, 1.0 - t))
 
     return {
-        "fun": lambda x: -_pwin_from_tables(tables(x)),
+        "fun": lambda x: -_pwin_from_tables(tables(x.tobytes())),
         "constraints": {"type": "ineq", "fun": constraints},
         "bounds": [(-BOX_LIMIT, BOX_LIMIT)] * max(0, 6 - len(lead)) + [(None, None)] * 8,
     }

@@ -2,14 +2,17 @@
 probabilities and CHSH evaluation/optimization with machine-readable output.
 
 Exit codes: 0 success, 1 check failure (failed verification, infeasible
-optimization, baseline mismatch), 2 input error.  JSON output formats every
-float with 17 significant digits so identical runs are byte-identical.
+optimization, baseline mismatch), 2 input error, an output file that cannot
+be written included.  JSON output formats every float with 17 significant
+digits so identical runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import csv
+import io
 import json
 import math
 import random
@@ -39,7 +42,7 @@ from .superstate import (
     transition_real,
     upsilon,
 )
-from .uosp import GroupElementParams, group_element, odd_exponent, s_matrix
+from .uosp import group_element, odd_exponent, s_matrix
 
 
 # -- deterministic JSON ---------------------------------------------------------
@@ -112,15 +115,36 @@ def tables_to_dict(tables) -> dict:
     }
 
 
-def write_tables_csv(path: str, tables) -> None:
-    import csv
+def tables_to_csv(tables) -> str:
+    """The four outcome tables as CSV text, one row per probability."""
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(["i", "j", "outcome", "probability"])
+    for k, (i, j) in enumerate(chsh.SETTINGS):
+        for m, label in enumerate(chsh.OUTCOME_LABELS):
+            wr.writerow([i, j, label, format(float(tables[k][m]), ".17g")])
+    return buf.getvalue()
 
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["i", "j", "outcome", "probability"])
-        for k, (i, j) in enumerate(chsh.SETTINGS):
-            for m, label in enumerate(chsh.OUTCOME_LABELS):
-                wr.writerow([i, j, label, format(float(tables[k][m]), ".17g")])
+
+def _write(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
+def _report(args, payload: dict, tables=None) -> None:
+    """The payload goes to the --json file; a CHSH command, which passes its
+    tables, also prints it and writes the tables to its --csv file."""
+    text = dumps(payload)
+    if tables is not None:
+        print(text)
+    if args.json:
+        _write(args.json, text + "\n")
+    if tables is not None and args.csv:
+        _write(args.csv, tables_to_csv(tables))
 
 
 # -- verification suite ----------------------------------------------------------
@@ -272,8 +296,7 @@ def _checks():
         eta = Supernumber.eta(1, 2)
         worst = max(worst, matrix_residual(
             exp_nilpotent(odd_exponent(eta * (2 * p))) - s_matrix(p)))
-        params = GroupElementParams(rng.uniform(-3, 3), rng.uniform(-3, 3), p)
-        z = group_element(params)
+        z = group_element(rng.uniform(-3, 3), rng.uniform(-3, 3), p)
         ident = Supermatrix.identity((0, 0, 1), 2)
         worst = max(worst, matrix_residual(z.grade_adjoint() @ z - ident))
     yield "one-parameter subgroup, closed form, superunitarity", worst, 1e-12
@@ -320,14 +343,14 @@ def _checks():
     yield "game baselines; vectorized evaluator matches exact path", worst, 1e-10
 
 
-def cmd_verify(verbose: bool = False) -> int:
+def cmd_verify(args) -> int:
     failures = 0
     for name, resid, tol in _checks():
         ok = resid < tol
         if not ok:
             failures += 1
         status = "pass" if ok else "FAIL"
-        if verbose:
+        if args.verbose:
             print(f"[{status}] {name}  (residual {resid:.3e}, tolerance {tol:.0e})")
         else:
             print(f"[{status}] {name}")
@@ -341,8 +364,8 @@ def cmd_verify(verbose: bool = False) -> int:
 # -- state / transition commands --------------------------------------------------
 
 
-def cmd_state(p: float, theta: float, phi: float, json_out: str | None = None) -> int:
-    p, theta, phi = map(_finite, (p, theta, phi))
+def cmd_state(args) -> int:
+    p, theta, phi = map(_finite, (args.p, args.theta, args.phi))
     st = superqubit(p, theta, phi)
     probs = measure_real(st)
     print(f"state: {st}")
@@ -351,21 +374,14 @@ def cmd_state(p: float, theta: float, phi: float, json_out: str | None = None) -
     if not is_physical(p):
         print(f"warning: displacement {p} is not physical (|p| > 1/2); "
               f"compactified value {compactify(p):.12g}")
-    if json_out:
-        payload = {
-            "p": float(p), "theta": float(theta), "phi": float(phi),
-            "physical": is_physical(p),
-            "probabilities": {"0": probs[0], "1": probs[1], "bullet": probs[2]},
-        }
-        with open(json_out, "w") as fh:
-            fh.write(dumps(payload) + "\n")
+    _report(args, {"p": p, "theta": theta, "phi": phi, "physical": is_physical(p),
+                   "probabilities": {"0": probs[0], "1": probs[1], "bullet": probs[2]}})
     return 0
 
 
-def cmd_transition(p: float, theta: float, phi: float,
-                   q: float, theta2: float, phi2: float,
-                   json_out: str | None = None) -> int:
-    p, theta, phi, q, theta2, phi2 = map(_finite, (p, theta, phi, q, theta2, phi2))
+def cmd_transition(args) -> int:
+    p, theta, phi, q, theta2, phi2 = map(
+        _finite, (args.p, args.theta, args.phi, args.q, args.theta2, args.phi2))
     u = superqubit(p, theta, phi)
     v = superqubit(q, theta2, phi2)
     g = grassmann_transition(u, v)
@@ -376,13 +392,7 @@ def cmd_transition(p: float, theta: float, phi: float,
     print(f"physical (|p-q|<=1 and |p+q|<=1): {s1}; physical (|p|,|q|<=1/2): {s2}")
     if not s2:
         print("warning: displacement pair outside the physical box")
-    if json_out:
-        payload = {
-            "p": float(p), "q": float(q),
-            "transition": float(val), "pair_in_s1": s1, "pair_in_s2": s2,
-        }
-        with open(json_out, "w") as fh:
-            fh.write(dumps(payload) + "\n")
+    _report(args, {"p": p, "q": q, "transition": val, "pair_in_s1": s1, "pair_in_s2": s2})
     return 0
 
 
@@ -402,35 +412,25 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def cmd_chsh_eval(strategy_file: str, json_out: str | None = None,
-                  csv_out: str | None = None) -> int:
-    data = _load_json(strategy_file)
+def cmd_chsh_eval(args) -> int:
+    data = _load_json(args.strategy_file)
     strat = strategy_from_dict(data.get("strategy", data))
     tables = [chsh.outcome_probs(i, j, strat) for (i, j) in chsh.SETTINGS]
-    pwin = chsh._pwin_from_tables(tables)
-    viol = chsh.constraint_violation(strat, tables)
-    payload = {
+    _report(args, {
         "strategy": strategy_to_dict(strat),
         "result": {
-            "p_win": pwin,
-            "violation": viol,
+            "p_win": chsh._pwin_from_tables(tables),
+            "violation": chsh.constraint_violation(strat, tables),
             "tables": tables_to_dict(tables),
         },
-    }
-    text = dumps(payload)
-    print(text)
-    if json_out:
-        with open(json_out, "w") as fh:
-            fh.write(text + "\n")
-    if csv_out:
-        write_tables_csv(csv_out, tables)
+    }, tables)
     return 0
 
 
-def cmd_chsh_optimize(config: chsh.OptimizeConfig, json_out: str | None = None,
-                      csv_out: str | None = None) -> int:
+def cmd_chsh_optimize(args) -> int:
+    config = _config_from_args(args)
     result = chsh.optimize(config)
-    payload = {
+    _report(args, {
         **asdict(config),
         "strategy": strategy_to_dict(result.strategy),
         "result": {
@@ -441,21 +441,14 @@ def cmd_chsh_optimize(config: chsh.OptimizeConfig, json_out: str | None = None,
             "iterations": result.iterations,
             "best_restart": result.best_restart,
         },
-    }
-    text = dumps(payload)
-    print(text)
-    if json_out:
-        with open(json_out, "w") as fh:
-            fh.write(text + "\n")
-    if csv_out:
-        write_tables_csv(csv_out, result.tables)
+    }, result.tables)
     if not result.feasible:
         print("no feasible strategy found", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_baseline(json_out: str | None = None) -> int:
+def cmd_baseline(args) -> int:
     classical = chsh.best_classical_win_prob()
     ts = chsh.Strategy.tsirelson()
     quantum = chsh.win_prob(ts)
@@ -467,13 +460,8 @@ def cmd_baseline(json_out: str | None = None) -> int:
     print(f"expected quantum value cos^2(pi/8): {target:.17g}")
     ok = bool(classical == 0.75 and abs(quantum - target) < 1e-9
               and abs(quantum - oracle) < 1e-10)
-    if json_out:
-        payload = {
-            "classical": classical, "quantum": quantum,
-            "oracle": oracle, "target": target, "ok": ok,
-        }
-        with open(json_out, "w") as fh:
-            fh.write(dumps(payload) + "\n")
+    _report(args, {"classical": classical, "quantum": quantum,
+                   "oracle": oracle, "target": target, "ok": ok})
     if not ok:
         print("baseline mismatch", file=sys.stderr)
         return 1
@@ -494,6 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the algebraic property suite")
     p_verify.add_argument("--verbose", action="store_true",
                           help="print per-check residual magnitudes")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_state = sub.add_parser("state", help="print a superqubit state and its "
                                            "measurement probabilities")
@@ -501,17 +490,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("theta", type=float)
     p_state.add_argument("phi", type=float)
     p_state.add_argument("--json", metavar="OUT")
+    p_state.set_defaults(run=cmd_state)
 
     p_trans = sub.add_parser("transition", help="transition probability between "
                                                 "two superqubits")
     for name in ("p", "theta", "phi", "q", "theta2", "phi2"):
         p_trans.add_argument(name, type=float)
     p_trans.add_argument("--json", metavar="OUT")
+    p_trans.set_defaults(run=cmd_transition)
 
     p_eval = sub.add_parser("chsh-eval", help="evaluate a CHSH strategy file")
     p_eval.add_argument("strategy_file")
     p_eval.add_argument("--json", metavar="OUT")
     p_eval.add_argument("--csv", metavar="OUT")
+    p_eval.set_defaults(run=cmd_chsh_eval)
 
     p_opt = sub.add_parser("chsh-optimize", help="maximize the CHSH winning "
                                                  "probability")
@@ -524,10 +516,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pin all super displacements to zero")
     p_opt.add_argument("--json", metavar="OUT")
     p_opt.add_argument("--csv", metavar="OUT")
+    p_opt.set_defaults(run=cmd_chsh_optimize)
 
     p_base = sub.add_parser("baseline", help="classical and quantum reference "
                                              "values of the game")
     p_base.add_argument("--json", metavar="OUT")
+    p_base.set_defaults(run=cmd_baseline)
 
     return ap
 
@@ -560,23 +554,7 @@ def _config_from_args(args) -> chsh.OptimizeConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(verbose=args.verbose)
-        if args.command == "state":
-            return cmd_state(args.p, args.theta, args.phi, json_out=args.json)
-        if args.command == "transition":
-            return cmd_transition(args.p, args.theta, args.phi,
-                                  args.q, args.theta2, args.phi2,
-                                  json_out=args.json)
-        if args.command == "chsh-eval":
-            return cmd_chsh_eval(args.strategy_file, json_out=args.json,
-                                 csv_out=args.csv)
-        if args.command == "chsh-optimize":
-            config = _config_from_args(args)
-            return cmd_chsh_optimize(config, json_out=args.json, csv_out=args.csv)
-        if args.command == "baseline":
-            return cmd_baseline(json_out=args.json)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

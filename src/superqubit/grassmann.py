@@ -13,9 +13,9 @@ one dict, and the result is built once, dropping every coefficient with
 term (only exact zeros go).  The reordering sign of each factor mask and
 the hash image of each monomial are cached by mask; masks are independent
 of the algebra order, so each cache holds at most 2^MAX_ORDER entries.  The
-modified Rogers norm is a dot product with a per-order weight table whose
-entries come from applying its Berezin-integral definition to each even
-basis monomial, on first use.
+modified Rogers norm is a dot product with the closed form of its
+Berezin-integral definition: a product of k full conjugate pairs has weight
+(-1)^k and every other monomial weight 0, whatever the algebra order.
 
 Everything here is a pure function on immutable values.
 """
@@ -239,7 +239,7 @@ class Supernumber:
                 raise DimensionMismatch(f"orders differ: {self.order} vs {other.order}")
             return _sum_of_products(self.order, ((self, other),))
         if isinstance(other, numbers.Complex):
-            # scaling cancels nothing: keep every term the operand kept
+            # scaling cancels nothing: only exact zeros go
             z = complex(other)
             return _new(self.order, {m: w for m, c in self._terms.items() if (w := c * z)})
         return NotImplemented
@@ -390,21 +390,17 @@ def rogers_r1(a: Supernumber) -> float:
 def modified_rogers(a: Supernumber) -> complex:
     """Berezin integral of an even element against prod exp(-eta_i eta_i#).
 
-    Linear in a, so it is evaluated as sum_m w[m] a[m].  The weight
-    w[m] = _rogers_integral(e_m) of each even basis monomial is computed
-    on first use and kept in a per-order table (at most 2^(order-1)
-    entries).  Always complex, so it stays linear; callers that want a
-    probability take the real part.
+    Linear in a, so it is evaluated as sum_m w[m] a[m] with the weight
+    w[m] = _rogers_integral(e_m) read from _PAIR_WEIGHTS (0 off it).  Always
+    complex, so it stays linear; callers that want a probability take the
+    real part.
     """
     if a.parity() != 0:
         raise ParityError("modified Rogers norm requires an even element")
-    weights = _ROGERS_WEIGHTS.setdefault(a.order, {})
     val = 0j
     for mask, c in a._terms.items():
-        w = weights.get(mask)
-        if w is None:
-            w = weights[mask] = _rogers_integral(_new(a.order, {mask: 1.0 + 0j})).real
-        if w:
+        w = _PAIR_WEIGHTS.get(mask)
+        if w is not None:
             val += w * c
     return val
 
@@ -427,7 +423,9 @@ def _rogers_integral(a: Supernumber) -> complex:
     return acc.body
 
 
-_ROGERS_WEIGHTS: dict[int, dict[int, float]] = {}
+# the nonzero Rogers weights: (-1)^k on each product of k full conjugate pairs
+_PAIR_WEIGHTS = {sum(3 << 2 * i for i in range(MAX_ORDER // 2) if pairs >> i & 1):
+                 (-1.0) ** pairs.bit_count() for pairs in range(1 << MAX_ORDER // 2)}
 
 
 def pair_product(pair: int, order: int) -> Supernumber:
@@ -435,22 +433,27 @@ def pair_product(pair: int, order: int) -> Supernumber:
     return Supernumber.eta(pair, order) * Supernumber.eta_hash(pair, order)
 
 
+def _nilpotent_series(a: Supernumber, body, step) -> Supernumber:
+    """sum_k c_k n^k over the nilpotent n = a / body - 1, with c_0 = 1 and
+    c_k = step(k, c_(k-1)); the sum stops at the first vanishing power."""
+    n = a * (1.0 / body) - 1
+    out = power = Supernumber.one(a.order)
+    coeff = 1.0
+    for k in range(1, a.order + 2):
+        power = power * n
+        if power.is_zero(0.0):
+            break
+        coeff = step(k, coeff)
+        out = out + power * coeff
+    return out
+
+
 def invert(a: Supernumber) -> Supernumber:
     """Exact inverse: finite geometric series around the nonzero body."""
     b = a.body
     if abs(b) <= PRUNE_TOL:
         raise NotInvertible("zero body")
-    n = a * (1.0 / b) - 1  # nilpotent
-    out = Supernumber.one(a.order)
-    power = Supernumber.one(a.order)
-    sign = 1
-    for _ in range(a.order + 1):
-        power = power * n
-        if power.is_zero(0.0):
-            break
-        sign = -sign
-        out = out + power * sign
-    return out * (1.0 / b)
+    return _nilpotent_series(a, b, lambda k, c: -c) * (1.0 / b)
 
 
 def inv_sqrt(a: Supernumber) -> Supernumber:
@@ -458,14 +461,6 @@ def inv_sqrt(a: Supernumber) -> Supernumber:
     b = a.body
     if abs(b.imag) > PRUNE_TOL or b.real <= 0:
         raise DomainError(f"inv_sqrt needs a positive real body, got {b}")
-    n = a * (1.0 / b.real) - 1
-    out = Supernumber.one(a.order)
-    power = Supernumber.one(a.order)
-    coeff = 1.0
-    for k in range(1, a.order + 2):
-        power = power * n
-        if power.is_zero(0.0):
-            break
-        coeff *= -(2 * k - 1) / (2 * k)  # binom(-1/2, k) recursion
-        out = out + power * coeff
-    return out * (b.real ** -0.5)
+    # the binomial coefficients binom(-1/2, k) by their recursion
+    series = _nilpotent_series(a, b.real, lambda k, c: c * (-(2 * k - 1) / (2 * k)))
+    return series * (b.real ** -0.5)

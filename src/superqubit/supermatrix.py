@@ -167,15 +167,33 @@ class Supermatrix:
             return NotImplemented
         return self + (-other)
 
+    def _scalar(self, zeta) -> tuple[Supernumber, int]:
+        """zeta as a Supernumber of this matrix's order, with its parity."""
+        if not isinstance(zeta, Supernumber):
+            zeta = Supernumber.from_complex(zeta, self.order)
+        zp = zeta.parity()
+        if zp is None:
+            raise ParityError("a supermatrix can only be scaled by a homogeneous supernumber")
+        return zeta, zp
+
     def __mul__(self, other):
-        if isinstance(other, (Supernumber, numbers.Complex)):
-            return scalar_right(self, other)
-        return NotImplemented
+        """S * zeta with the column-parity sign (-1)^(|zeta| |j|)."""
+        if not isinstance(other, (Supernumber, numbers.Complex)):
+            return NotImplemented
+        zeta, zp = self._scalar(other)
+        grid = tuple(tuple(e * zeta if cp == 0 or zp == 0 else -(e * zeta)
+                           for cp, e in zip(self.col_parity, row))
+                     for row in self.entries)
+        return _new(grid, self.row_parity, self.col_parity, (self.parity + zp) % 2, self.order)
 
     def __rmul__(self, other):
-        if isinstance(other, (Supernumber, numbers.Complex)):
-            return scalar_left(other, self)
-        return NotImplemented
+        """zeta * S with the row-parity sign (-1)^(|zeta| |i|)."""
+        if not isinstance(other, (Supernumber, numbers.Complex)):
+            return NotImplemented
+        zeta, zp = self._scalar(other)
+        grid = tuple(tuple(zeta * e if rp == 0 or zp == 0 else -(zeta * e) for e in row)
+                     for rp, row in zip(self.row_parity, self.entries))
+        return _new(grid, self.row_parity, self.col_parity, (self.parity + zp) % 2, self.order)
 
     def __matmul__(self, other):
         if not isinstance(other, Supermatrix):
@@ -268,33 +286,6 @@ def supertrace(s: Supermatrix) -> Supernumber:
             e = -e
         acc = acc + e
     return acc
-
-
-def _homogeneous_scalar(zeta, order) -> tuple[Supernumber, int]:
-    """zeta as a Supernumber of the given order, with its parity."""
-    if not isinstance(zeta, Supernumber):
-        zeta = Supernumber.from_complex(zeta, order)
-    zp = zeta.parity()
-    if zp is None:
-        raise ParityError("a supermatrix can only be scaled by a homogeneous supernumber")
-    return zeta, zp
-
-
-def scalar_left(zeta, s: Supermatrix) -> Supermatrix:
-    """zeta * S with the row-parity sign (-1)^(|zeta| |i|)."""
-    zeta, zp = _homogeneous_scalar(zeta, s.order)
-    grid = tuple(tuple(zeta * e if rp == 0 or zp == 0 else -(zeta * e) for e in row)
-                 for rp, row in zip(s.row_parity, s.entries))
-    return _new(grid, s.row_parity, s.col_parity, (s.parity + zp) % 2, s.order)
-
-
-def scalar_right(s: Supermatrix, zeta) -> Supermatrix:
-    """S * zeta with the column-parity sign (-1)^(|zeta| |j|)."""
-    zeta, zp = _homogeneous_scalar(zeta, s.order)
-    grid = tuple(tuple(e * zeta if cp == 0 or zp == 0 else -(e * zeta)
-                       for cp, e in zip(s.col_parity, row))
-                 for row in s.entries)
-    return _new(grid, s.row_parity, s.col_parity, (s.parity + zp) % 2, s.order)
 
 
 def graded_kron(a: Supermatrix, b: Supermatrix) -> Supermatrix:

@@ -34,6 +34,8 @@ from .supermatrix import Supermatrix
 from .uosp import VEC_PARITY, s_matrix, u_matrix
 
 BULLET = "•"
+# the physical box |p| <= BOX_LIMIT of a super displacement
+BOX_LIMIT = 0.5
 
 
 def digits_of(index: int, parties: int) -> tuple[int, ...]:
@@ -396,13 +398,13 @@ def compactify(p: float) -> float:
 
 
 def is_physical(p: float) -> bool:
-    return abs(p) <= 0.5
+    return abs(p) <= BOX_LIMIT
 
 
 def physical_pair(p: float, q: float) -> tuple[bool, bool]:
     """(s1, s2) membership: s1 = {|p-q|<=1 and |p+q|<=1}, s2 = {|p|,|q| <= 1/2}."""
     s1 = abs(p - q) <= 1.0 and abs(p + q) <= 1.0
-    s2 = abs(p) <= 0.5 and abs(q) <= 0.5
+    s2 = is_physical(p) and is_physical(q)
     return s1, s2
 
 

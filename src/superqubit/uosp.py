@@ -4,39 +4,19 @@ All matrices are 3x3 over the graded basis (|0>, |1>, |bullet>) with
 parities (0, 0, 1).  Generators act in an ambient algebra of order N
 (N=2 single party, N=4 two parties); the anticommuting pair whose
 generators multiply the odd generators is selected by the `pair` argument
-of algebra_element, s_matrix and group_element.
+of algebra_element, s_matrix and group_element.  U(theta, phi) has
+alpha = cos(theta) and beta = e^(i phi) sin(theta), so |alpha|^2 + |beta|^2 = 1
+for any angles; exp(zeta Q1 + zeta# Q2) is exp_nilpotent(odd_exponent(zeta)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .grassmann import COMPARE_TOL, Supernumber, pair_product
-from .supermatrix import Supermatrix, _new, exp_nilpotent, scalar_left
+from .supermatrix import Supermatrix, _new
 
 VEC_PARITY = (0, 0, 1)
-
-
-@dataclass(frozen=True)
-class GroupElementParams:
-    """Bloch angles plus the real super displacement p.
-
-    alpha = cos(theta), beta = e^(i phi) sin(theta), so |alpha|^2 + |beta|^2 = 1
-    holds exactly for any theta, phi.
-    """
-
-    theta: float
-    phi: float
-    p: float
-
-    @property
-    def alpha(self) -> complex:
-        return complex(math.cos(self.theta))
-
-    @property
-    def beta(self) -> complex:
-        return complex(math.cos(self.phi), math.sin(self.phi)) * math.sin(self.theta)
 
 
 def generators(order: int = 2):
@@ -62,8 +42,7 @@ def algebra_element(xi, p: float, order: int = 2, pair: int = 1) -> Supermatrix:
     """xi_1 A1 + xi_2 A2 + xi_3 A3 + zeta Q1 + zeta# Q2 with zeta = p eta."""
     a1, a2, a3, q1, q2 = generators(order)
     zeta = Supernumber.eta(pair, order) * p
-    s = scalar_left(xi[0], a1) + scalar_left(xi[1], a2) + scalar_left(xi[2], a3)
-    return s + scalar_left(zeta, q1) + scalar_left(zeta.hash(), q2)
+    return xi[0] * a1 + xi[1] * a2 + xi[2] * a3 + zeta * q1 + zeta.hash() * q2
 
 
 def s_matrix(p: float, order: int = 2, pair: int = 1) -> Supermatrix:
@@ -104,22 +83,18 @@ def u_matrix_from_amplitudes(alpha, beta, order: int = 2) -> Supermatrix:
 
 
 def u_matrix(theta: float, phi: float, order: int = 2) -> Supermatrix:
-    p = GroupElementParams(theta, phi, 0.0)
-    return u_matrix_from_amplitudes(p.alpha, p.beta, order)
+    beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
+    return u_matrix_from_amplitudes(math.cos(theta), beta, order)
 
 
-def group_element(params: GroupElementParams, order: int = 2, pair: int = 1) -> Supermatrix:
-    """Z = U(alpha, beta) S(2p eta); superunitary, Z gradeadjoint Z = 1."""
-    return u_matrix(params.theta, params.phi, order) @ s_matrix(params.p, order, pair)
+def group_element(theta: float, phi: float, p: float,
+                  order: int = 2, pair: int = 1) -> Supermatrix:
+    """Z = U(theta, phi) S(2p eta); superunitary, Z gradeadjoint Z = 1."""
+    return u_matrix(theta, phi, order) @ s_matrix(p, order, pair)
 
 
 def odd_exponent(zeta: Supernumber) -> Supermatrix:
     """zeta Q1 + zeta# Q2 for an arbitrary odd zeta (for exp-law experiments)."""
     order = zeta.order
     _, _, _, q1, q2 = generators(order)
-    return scalar_left(zeta, q1) + scalar_left(zeta.hash(), q2)
-
-
-def exp_odd(zeta: Supernumber) -> Supermatrix:
-    """exp(zeta Q1 + zeta# Q2) by the terminating Taylor series."""
-    return exp_nilpotent(odd_exponent(zeta))
+    return zeta * q1 + zeta.hash() * q2

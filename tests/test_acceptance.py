@@ -40,7 +40,6 @@ from superqubit.superstate import (
 )
 from superqubit.uosp import (
     VEC_PARITY,
-    GroupElementParams,
     group_element,
     odd_exponent,
     s_matrix,
@@ -134,7 +133,7 @@ def test_criterion_04_group_laws_and_superunitarity():
         theta, phi = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
         d = s_matrix(p, 2) @ s_matrix(q, 2) - s_matrix(p + q, 2)
         worst_add = max(worst_add, matrix_residual(d))
-        z = group_element(GroupElementParams(theta, phi, p), 2)
+        z = group_element(theta, phi, p, 2)
         worst_uni = max(worst_uni, matrix_residual(z.grade_adjoint() @ z - ident))
     assert worst_add < 1e-12, f"one-parameter law residual {worst_add}"
     assert worst_uni < 1e-12, f"superunitarity residual {worst_uni}"
@@ -238,20 +237,16 @@ def test_criterion_08_two_party_expansion_metric_and_total_probability():
     for _ in range(100):
         ups = upsilon(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         za = group_element(
-            GroupElementParams(
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-0.5, 0.5),
-            ),
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(-0.5, 0.5),
             order=4,
             pair=1,
         )
         zb = group_element(
-            GroupElementParams(
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-0.5, 0.5),
-            ),
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(-0.5, 0.5),
             order=4,
             pair=2,
         )

@@ -396,8 +396,9 @@ def test_optimize_result_is_recomputed_exactly():
 
 
 def test_importing_the_package_leaves_scipy_unloaded():
-    # only optimize needs scipy; chsh.minimize imports it on its first call
-    code = "import sys, superqubit, superqubit.cli; print('scipy' in sys.modules)"
+    # only optimize needs scipy; chsh.minimize imports it on its first call.
+    # The star import also fails on a stale __all__ entry.
+    code = "import sys, superqubit.cli; from superqubit import *; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(superqubit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=env)

@@ -111,6 +111,14 @@ def test_state_output_and_json(tmp_path, capsys):
     assert payload["probabilities"]["bullet"] == pytest.approx(0.09, abs=1e-12)
 
 
+def test_outputs_into_a_missing_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "out"
+    for argv in (["state", "0.3", "0", "0", "--json", str(out)],
+                 ["chsh-optimize", "--restarts", "1", "--max-iters", "0", "--csv", str(out)]):
+        assert cli.main(argv) == 2
+        assert "error: cannot write" in capsys.readouterr().err
+
+
 def test_state_warns_on_unphysical_displacement(capsys):
     assert cli.main(["state", "0.6", "0.2", "0.1"]) == 0
     out = capsys.readouterr().out
@@ -220,6 +228,12 @@ def test_chsh_eval_malformed_file_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["chsh-eval", str(bad)]) == 2
         assert capsys.readouterr().out == ""
+    # an output file that cannot be written is an input error too
+    good_file = _write_strategy_file(tmp_path / "good.json", Strategy.tsirelson())
+    for flag in ("--json", "--csv"):
+        out = tmp_path / "no" / "such" / "dir" / "out"
+        assert cli.main(["chsh-eval", good_file, flag, str(out)]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
 
 
 # -- chsh-optimize -----------------------------------------------------------------

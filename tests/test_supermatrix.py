@@ -18,8 +18,6 @@ from superqubit.supermatrix import (
     Supermatrix,
     exp_nilpotent,
     graded_kron,
-    scalar_left,
-    scalar_right,
     supertrace,
 )
 
@@ -129,9 +127,9 @@ def test_addition_requires_matching_parities():
         Supermatrix(even.entries, P2, P2, None)
     mixed = _one() + _eta()
     with pytest.raises(ParityError):
-        scalar_left(mixed, even)
+        mixed * even
     with pytest.raises(ParityError):
-        scalar_right(even, mixed)
+        even * mixed
     z = Supernumber.zero(ORDER)
     nilpotent_odd = Supermatrix([[_eta(), z], [z, _eta_hash()]], P2, P2, 1)
     with pytest.raises(ParityError):
@@ -306,7 +304,7 @@ def test_scalar_left_right_koszul(zp, sp, seed):
     zeta = rand_supernumber(rng, ORDER, zp)
     m = rand_supermatrix(rng, P2, P2, sp, ORDER)
     sign = -1 if zp * sp else 1
-    assert matrix_residual(scalar_left(zeta, m) - sign * scalar_right(m, zeta)) < 1e-12
+    assert matrix_residual(zeta * m - sign * (m * zeta)) < 1e-12
 
 
 def test_scalar_action_compatible_with_matmul():
@@ -314,15 +312,15 @@ def test_scalar_action_compatible_with_matmul():
     zeta = rand_supernumber(rng, ORDER, 1)
     x = rand_supermatrix(rng, P2, P2, 1, ORDER)
     y = rand_supermatrix(rng, P2, P2, 0, ORDER)
-    assert matrix_residual(scalar_left(zeta, x @ y) - scalar_left(zeta, x) @ y) < 1e-12
-    assert matrix_residual(scalar_right(x @ y, zeta) - x @ scalar_right(y, zeta)) < 1e-12
+    assert matrix_residual(zeta * (x @ y) - (zeta * x) @ y) < 1e-12
+    assert matrix_residual((x @ y) * zeta - x @ (y * zeta)) < 1e-12
 
 
 def test_even_scalar_action_is_plain():
     rng = random.Random(32)
     zeta = rand_supernumber(rng, ORDER, 0)
     m = rand_supermatrix(rng, P2, P2, 1, ORDER)
-    assert scalar_left(zeta, m) == scalar_right(m, zeta)
+    assert zeta * m == m * zeta
 
 
 # -- graded Kronecker product ------------------------------------------------------

@@ -44,7 +44,7 @@ from superqubit.superstate import (
     transition_real,
     upsilon,
 )
-from superqubit.uosp import GroupElementParams, group_element, s_matrix, u_matrix
+from superqubit.uosp import group_element, s_matrix, u_matrix
 
 from conftest import coefficient_gap, matrix_residual, max_abs_coeff, rand_supernumber
 
@@ -362,16 +362,10 @@ def test_outcome_sum_is_exactly_one_after_local_rotations():
     rng = random.Random(29)
     for _ in range(10):
         ups = upsilon(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        za = group_element(
-            GroupElementParams(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-0.5, 0.5)),
-            order=4,
-            pair=1,
-        )
-        zb = group_element(
-            GroupElementParams(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-0.5, 0.5)),
-            order=4,
-            pair=2,
-        )
+        za = group_element(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-0.5, 0.5),
+                           order=4, pair=1)
+        zb = group_element(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-0.5, 0.5),
+                           order=4, pair=2)
         rotated = apply_local(ups, za, zb)
         total = Supernumber.zero(4)
         for t in grassmann_outcomes(rotated):
@@ -474,8 +468,8 @@ def test_apply_local_matches_graded_kron_oracle():
     par = tuple(ket_parity(i, 2) for i in range(9))
     for state in states:
         za, zb = (
-            group_element(GroupElementParams(rng.uniform(-3, 3), rng.uniform(-3, 3),
-                                             rng.uniform(-0.5, 0.5)), order=4, pair=pair)
+            group_element(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-0.5, 0.5),
+                          order=4, pair=pair)
             for pair in (1, 2)
         )
         rotated = apply_local(state, za, zb)
@@ -597,8 +591,8 @@ def test_text_round_trip_single_party():
 
 def test_text_round_trip_two_party():
     ups = upsilon(0.21, -0.43)
-    za = group_element(GroupElementParams(0.5, 0.6, 0.1), order=4, pair=1)
-    zb = group_element(GroupElementParams(-0.8, 0.2, -0.3), order=4, pair=2)
+    za = group_element(0.5, 0.6, 0.1, order=4, pair=1)
+    zb = group_element(-0.8, 0.2, -0.3, order=4, pair=2)
     rotated = apply_local(ups, za, zb)
     back = state_from_text(state_to_text(rotated))
     assert _states_close(back, rotated, tol=1e-15)
