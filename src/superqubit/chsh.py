@@ -26,7 +26,11 @@ cross-checks it against the exact path.
 
 The search (optimize) is a seeded multi-start SLSQP that maximizes p_win
 under the 72 constraints 0 <= t <= 1 on the four tables, with the free
-displacements bounded to the box and the angles unbounded.  The optimum
+displacements bounded to the box and the angles unbounded.  Its
+derivatives are exact: a local coordinate row has closed-form derivatives
+in its displacement and angles, and the shared state in p_a and p_b, so
+the same products carry value and derivative rows together, and the
+product rule gives the tables' Jacobian in one batched pass.  The optimum
 lies on the family where one party holds all the displacement, so a
 full-space restart runs its first stage on that family with Bob displaced:
 p_a = r = 0 and p_b = 1/2 held fixed, s and the eight angles searched.  A
@@ -304,17 +308,23 @@ _WEIGHTS = _WEIGHTS.reshape(288, 9)
 
 
 def _local_coefficients(v) -> np.ndarray:
-    """Coordinates [party, setting, (q, n)] of the four local group elements
-    on the basis of _build_local_tables, from the displacements r, s (v[:4])
-    and the eight angles (v[4:])."""
+    """Coordinates [party, setting, row, (q, n)] of the four local group
+    elements on the basis of _build_local_tables, from the displacements
+    r, s (v[:4]) and the eight angles (v[4:]).  Row 0 holds the
+    coordinates, the outer product of [1, cos theta, sin theta cos phi,
+    sin theta sin phi] with [1, p, p^2]; rows 1, 2 and 3 their derivatives
+    in the setting's p, theta and phi, the same product with one factor
+    differentiated."""
     # math on Python floats costs less than numpy's per-call overhead, and
     # it is the same libm the exact path (uosp.u_matrix) uses
-    out = []
+    angular, powers = [], []
     for p, theta, phi in zip(v[:4], v[4::2], v[5::2]):
-        s, c = math.sin(theta), math.cos(theta)
-        sc, ss, pp = s * math.cos(phi), s * math.sin(phi), p * p
-        out += (1.0, p, pp, c, c * p, c * pp, sc, sc * p, sc * pp, ss, ss * p, ss * pp)
-    return np.array(out).reshape(2, 2, 12)
+        s, c, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
+        u, n = (1.0, c, s * cp, s * sp), (1.0, p, p * p)
+        angular += (u, u, (0.0, -s, c * cp, c * sp), (0.0, 0.0, -s * sp, s * cp))
+        powers += (n, (0.0, 1.0, 2.0 * p), n, n)
+    rows = np.array(angular)[:, :, None] * np.array(powers)[:, None, :]
+    return rows.reshape(2, 2, 4, 12)
 
 
 def _upsilon_terms():
@@ -337,40 +347,76 @@ _UPSILON_TERMS = _upsilon_terms()
 
 @lru_cache(maxsize=1)  # the first search stage holds (p_a, p_b) fixed
 def _upsilon_right(pa: float, pb: float) -> np.ndarray:
-    """Right coordinates of the shared state (real) as a read-only [12, 12]
-    array indexed ((Bob digit l, beta), (Alice digit j, alpha)), times
-    (-1)^(|j| |l|)."""
+    """Right coordinates of the shared state (real) as a read-only
+    [row, 12, 12] array indexed ((Bob digit l, beta), (Alice digit j,
+    alpha)), times (-1)^(|j| |l|): row 0 the state, rows 1 and 2 its
+    derivatives in p_A and p_B."""
     a, b = (1.0, pa, pa * pa), (1.0, pb, pb * pb)
-    v = np.zeros(144)
+    da, db = (0.0, 1.0, 2.0 * pa), (0.0, 1.0, 2.0 * pb)
+    v = np.zeros((3, 144))
     for k, x, i, j in _UPSILON_TERMS:
-        v[k] = x * a[i] * b[j]
+        v[:, k] = x * a[i] * b[j], x * da[i] * b[j], x * a[i] * db[j]
     v.flags.writeable = False
-    return v.reshape(12, 12)
+    return v.reshape(3, 12, 12)
 
 
-def _fast_amplitudes(vec) -> np.ndarray:
+def _fast_amplitudes(coef, state) -> np.ndarray:
     """Right coordinates of the shared state after the local group elements
     of Alice's setting I and Bob's setting J, as a real array
-    [fold, (I, J), (k, beta, re, i, alpha)]: fold 0 holds M, the real (re 0)
-    and imaginary (re 1) parts of the entry of ket (i, k) on monomial
-    alpha | beta << 2, times (-1)^(|i| |k|); fold 1 holds Kb M Ka^T."""
-    coef = _local_coefficients(vec[2:])
-    # alice[re, fold, I, (j, alpha), (re', i, alpha')]
-    alice = (coef[0] @ _ALICE).reshape(2, 2, 2, 12, 24)
-    # Bob acts first: w[re, fold, (J, k, beta'), (j, alpha)] = sum_l B_kl v_jl
-    w = (coef[1] @ _BOB).reshape(96, 12) @ _upsilon_right(vec[0], vec[1])
-    # then Alice, sum_j A_ij w_kj: the real and the imaginary part of w
-    # each meet their row block, and the two partial products are summed
-    # last, which rounds as a complex matrix product does
-    res = w.reshape(2, 2, 1, 24, 12) @ alice
-    return (res[0] + res[1]).reshape(2, 4, 288)
+    [fold, (I, J), row, (k, beta, re, i, alpha)]: fold 0 holds M, the real
+    (re 0) and imaginary (re 1) parts of the entry of ket (i, k) on monomial
+    alpha | beta << 2, times (-1)^(|i| |k|); fold 1 holds Kb M Ka^T.
+
+    coef (as _local_coefficients) and state (as _upsilon_right) each stack
+    a value row on any number of derivative rows.  M is linear in Alice's
+    coordinates, in Bob's and in the state, so row 0 of the result is M
+    and, by the product rule, the rows after it are M's derivatives along
+    Alice's derivative rows, then Bob's, then the state's."""
+    rows = coef.shape[2]
+    # alice[re, fold, (I, row), (j, alpha), (re', i, alpha')]
+    alice = (coef[0].reshape(-1, 12) @ _ALICE).reshape(2, 2, 2 * rows, 12, 24)
+    # Bob acts first: w[(re, fold), J, row, (k, beta'), (j, alpha)] = sum_l B_kl v_jl,
+    # every row of Bob's on the state, then Bob's value on the state's
+    # derivative rows
+    bob = (coef[1].reshape(-1, 12) @ _BOB).reshape(4, 2, rows, 12, 12)
+    w = np.concatenate(((bob.reshape(-1, 12) @ state[0]).reshape(bob.shape),
+                        bob[:, :, :1] @ state[1:]), axis=2)
+    # then Alice, sum_j A_ij w_kj: every row of Alice's on w's value, then
+    # Alice's value on w's derivative rows.  The real and the imaginary
+    # part of w each meet their row block, and the two partial products
+    # are summed last, which rounds as a complex matrix product does
+    res = w[:, :, 0].reshape(2, 2, 1, 24, 12) @ alice
+    res = (res[0] + res[1]).reshape(2, 2, rows, 2, 288).transpose(0, 1, 3, 2, 4)
+    more = w[:, :, 1:].reshape(2, 2, 1, -1, 12) @ alice[:, :, ::rows]
+    more = (more[0] + more[1]).reshape(2, 2, 2, -1, 288)
+    return np.concatenate((res, more), axis=3).reshape(2, 4, -1, 288)
 
 
 def _fast_tables(vec) -> np.ndarray:
     """All four 9-outcome probability tables (rows ordered 00, 01, 10, 11)
     of the 14 strategy entries vec."""
-    m, folded = _fast_amplitudes(vec)
+    coef, state = _local_coefficients(vec[2:]), _upsilon_right(vec[0], vec[1])
+    m, folded = _fast_amplitudes(coef[:, :, :1], state[:1])[:, :, 0]
     return (m * folded) @ _WEIGHTS
+
+
+# one-hot rows [(I, J), row, entry]: the strategy entry behind each
+# derivative row of _fast_amplitudes at setting (I, J), namely Alice's r_I,
+# theta_I, phi_I, Bob's s_J, theta_J, phi_J, then p_a and p_b; the tables
+# of (I, J) depend on no other entry
+_JACOBIAN_ENTRIES = np.eye(14)[[(2 + i, 6 + 2 * i, 7 + 2 * i, 4 + j, 10 + 2 * j, 11 + 2 * j, 0, 1)
+                                for i, j in SETTINGS]]
+
+
+def _fast_tables_and_jacobian(vec) -> tuple[np.ndarray, np.ndarray]:
+    """_fast_tables(vec) and its exact Jacobian [(I, J), outcome, entry] in
+    the 14 strategy entries.  A table is (M o F) @ _WEIGHTS, so its
+    derivative along a row of _fast_amplitudes is (dM o F + M o dF) @ _WEIGHTS."""
+    amps = _fast_amplitudes(_local_coefficients(vec[2:]), _upsilon_right(vec[0], vec[1]))
+    # each fold's derivative rows times the other fold's value
+    d = amps[:, :, 1:] * amps[::-1, :, :1]
+    jac = ((d[0] + d[1]) @ _WEIGHTS).transpose(0, 2, 1) @ _JACOBIAN_ENTRIES
+    return (amps[0, :, 0] * amps[1, :, 0]) @ _WEIGHTS, jac
 
 
 def fast_outcome_tables(strat: Strategy) -> np.ndarray:
@@ -441,23 +487,29 @@ STOP_TOL = 1e-15
 
 def _stage_problem(lead: tuple) -> dict:
     """SLSQP's objective -p_win, its 72 constraints t >= 0 and 1 - t >= 0
-    on the four tables, and its bounds, for a search point behind the fixed
-    entries lead: the free displacements in the box, the angles unbounded.
-    SLSQP asks for the objective and the constraints at the same points,
-    finite-difference neighbours included, so the tables of the last 15
-    points (an iterate and its 14 neighbours) are cached by their bytes."""
+    on the four tables, their exact derivatives and the bounds, for a search
+    point behind the fixed entries lead: the free displacements in the box,
+    the angles unbounded.  SLSQP asks for the values and the derivatives at
+    the same points, so the tables and their Jacobian in the free entries
+    are computed together and kept for the last point, by its bytes."""
 
-    @lru_cache(maxsize=15)
-    def tables(point: bytes) -> np.ndarray:
-        return _fast_tables([*lead, *np.frombuffer(point).tolist()]).ravel()
+    @lru_cache(maxsize=1)
+    def evaluated(point: bytes) -> tuple[np.ndarray, np.ndarray]:
+        t, jac = _fast_tables_and_jacobian([*lead, *np.frombuffer(point).tolist()])
+        return t.ravel(), jac.reshape(36, 14)[:, len(lead):]
 
     def constraints(x):
-        t = tables(x.tobytes())
+        t = evaluated(x.tobytes())[0]
         return np.concatenate((t, 1.0 - t))
 
+    def constraints_jac(x):
+        jac = evaluated(x.tobytes())[1]
+        return np.concatenate((jac, -jac))
+
     return {
-        "fun": lambda x: -_pwin_from_tables(tables(x.tobytes())),
-        "constraints": {"type": "ineq", "fun": constraints},
+        "fun": lambda x: -_pwin_from_tables(evaluated(x.tobytes())[0]),
+        "jac": lambda x: -_WIN_WEIGHTS @ evaluated(x.tobytes())[1],
+        "constraints": {"type": "ineq", "fun": constraints, "jac": constraints_jac},
         "bounds": [(-BOX_LIMIT, BOX_LIMIT)] * max(0, 6 - len(lead)) + [(None, None)] * 8,
     }
 

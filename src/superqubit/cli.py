@@ -3,8 +3,9 @@ probabilities and CHSH evaluation/optimization with machine-readable output.
 
 Exit codes: 0 success, 1 check failure (failed verification, infeasible
 optimization, baseline mismatch), 2 input error, an output file that cannot
-be written included.  JSON output formats every float with 17 significant
-digits so identical runs are byte-identical.
+be written included; output paths are checked before the command's work.
+JSON output formats every float with 17 significant digits so identical
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import asdict, fields, replace
@@ -133,6 +135,22 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Refuse, before a command's work, an output path that _write could
+    not write.  The check creates and truncates nothing; _write still turns
+    a failed write into the same error."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no such directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {reason}")
 
 
 def _report(args, payload: dict, tables=None) -> None:
@@ -554,6 +572,9 @@ def _config_from_args(args) -> chsh.OptimizeConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for path in (getattr(args, "json", None), getattr(args, "csv", None)):
+            if path:
+                _check_writable(path)
         return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

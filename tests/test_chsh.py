@@ -29,10 +29,14 @@ from superqubit.chsh import (
     WIN_SAME,
     OptimizeConfig,
     Strategy,
+    _WIN_WEIGHTS,
     _fast_amplitudes,
+    _fast_tables,
+    _fast_tables_and_jacobian,
     _local_coefficients,
     _pwin_from_tables,
     _stage_problem,
+    _upsilon_right,
     best_classical_win_prob,
     constraint_violation,
     fast_outcome_tables,
@@ -174,7 +178,9 @@ def test_fast_amplitudes_match_apply_local():
     for _ in range(4):
         strat = _random_strategy(rng)
         # [fold, (I, J), k, beta, re, i, alpha] -> [fold, (I, J), (i, k), (beta, alpha)]
-        amps = _fast_amplitudes(strat.to_vector()).reshape(2, 4, 3, 4, 2, 3, 4)
+        vec = strat.to_vector()
+        amps = _fast_amplitudes(_local_coefficients(vec[2:]), _upsilon_right(vec[0], vec[1]))
+        amps = amps[:, :, 0].reshape(2, 4, 3, 4, 2, 3, 4)
         fast = amps[:, :, :, :, 0] + 1j * amps[:, :, :, :, 1]
         fast = fast.transpose(0, 1, 4, 2, 3, 5).reshape(2, 4, 9, 16)
         for row, (i, j) in enumerate(SETTINGS):
@@ -199,7 +205,7 @@ def _coefficients(x: Supernumber) -> np.ndarray:
 def _complex_tables(vec):
     """Alice's [fold, setting, j, alpha, i, alpha'] and Bob's
     [fold, setting, k, beta', l, beta] tables, read from their real blocks."""
-    coef = _local_coefficients(vec)
+    coef = _local_coefficients(vec)[:, :, 0]
     # [re, fold, setting, (j, alpha), re', (i, alpha')]: [[Ar, Ai], [-Ai, Ar]]
     alice = (coef[0] @ _ALICE).reshape(2, 2, 2, 12, 2, 12)
     assert np.array_equal(alice[1, :, :, :, 1], alice[0, :, :, :, 0])
@@ -325,13 +331,21 @@ def test_win_sets_match_bit_announcement_rule():
 # -- optimizer ---------------------------------------------------------------------
 
 
+def _central_differences(f, x, h=1e-6):
+    """Columns df/dx_k of f at x by central differences."""
+    steps = np.eye(len(x)) * h
+    return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h) for e in steps], axis=-1)
+
+
 def test_stage_problem_is_the_constrained_win_probability():
     # bit for bit, at points inside the box and on its edge, for every stage
-    # of both modes; the points alternate so a stale kept table would show
+    # of both modes; the points alternate so a stale kept table or Jacobian
+    # would show
     rng = np.random.default_rng(23)
     for lead in _STAGES[False] + _STAGES[True]:
         problem = _stage_problem(lead)
         fun, constraints = problem["fun"], problem["constraints"]["fun"]
+        grad, constraints_jac = problem["jac"], problem["constraints"]["jac"]
         free = max(0, 6 - len(lead))
         assert problem["bounds"] == [(-BOX_LIMIT, BOX_LIMIT)] * free + [(None, None)] * 8
         assert problem["constraints"]["type"] == "ineq"
@@ -339,11 +353,33 @@ def test_stage_problem_is_the_constrained_win_probability():
             x = rng.uniform(-math.pi, math.pi, 14 - len(lead))
             x[:free] = {"in": rng.uniform(-0.45, 0.45, free),
                         "edge": rng.choice((-BOX_LIMIT, BOX_LIMIT), free)}[kind]
-            tables = fast_outcome_tables(Strategy.from_vector(np.concatenate((lead, x))))
+            vec = np.concatenate((lead, x))
+            tables = fast_outcome_tables(Strategy.from_vector(vec))
             t = tables.ravel()
+            jac = _fast_tables_and_jacobian(vec.tolist())[1].reshape(36, 14)[:, len(lead):]
             for _ in range(2):  # fresh, then from the kept tables
                 assert fun(x) == -_pwin_from_tables(tables)
                 assert np.array_equal(constraints(x), np.concatenate((t, 1.0 - t)))
+                assert np.array_equal(grad(x), -_WIN_WEIGHTS @ jac)
+                assert np.array_equal(constraints_jac(x), np.concatenate((jac, -jac)))
+            # the derivatives are those of the objective and the constraints
+            for f, df in ((fun, grad), (constraints, constraints_jac)):
+                want = _central_differences(f, x)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(df(x) - want)) <= 1e-7 * scale
+
+
+def test_fast_jacobian_matches_central_differences():
+    # every entry of the 4x9x14 Jacobian, shared-state displacements included
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        vec = np.concatenate((rng.uniform(-BOX_LIMIT, BOX_LIMIT, 6), rng.uniform(-4, 4, 8)))
+        tables, jac = _fast_tables_and_jacobian(vec.tolist())
+        assert jac.shape == (4, 9, 14)
+        assert np.array_equal(tables, _fast_tables(vec.tolist()))
+        want = _central_differences(lambda v: _fast_tables(v.tolist()), vec)
+        assert np.max(np.abs(jac - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+        assert np.abs(jac[:, :, :2]).max() > 0.0  # p_a and p_b move the tables
 
 
 def test_restarts_once_left_infeasible_are_feasible():

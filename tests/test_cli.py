@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from superqubit import cli
+from superqubit import chsh, cli
 from superqubit.chsh import SETTINGS, OptimizeConfig, Strategy, outcome_probs
 from superqubit.supermatrix import Supermatrix
 
@@ -117,6 +117,27 @@ def test_outputs_into_a_missing_directory_exit_2(tmp_path, capsys):
                  ["chsh-optimize", "--restarts", "1", "--max-iters", "0", "--csv", str(out)]):
         assert cli.main(argv) == 2
         assert "error: cannot write" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_refused_before_the_work(tmp_path, monkeypatch, capsys):
+    def search(config):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(chsh, "optimize", search)
+    result = tmp_path / "ok.json"
+    argv = ["chsh-optimize", "--restarts", "1", "--max-iters", "5",
+            "--json", str(result), "--csv", str(tmp_path / "missing" / "x.csv")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot write" in captured.err
+    assert not result.exists()
+    # the check truncates no existing file, and a directory is no output file
+    result.write_text("kept\n")
+    assert cli.main(argv) == 2
+    assert result.read_text() == "kept\n"
+    assert cli.main(["chsh-optimize", "--json", str(tmp_path)]) == 2
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_state_warns_on_unphysical_displacement(capsys):
