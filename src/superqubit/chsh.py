@@ -26,17 +26,18 @@ cross-checks it against the exact path.
 
 The search (optimize) is a seeded multi-start SLSQP that maximizes p_win
 under the 72 constraints 0 <= t <= 1 on the four tables, with the free
-displacements bounded to the box and the angles unbounded.  Its
-derivatives are exact: a local coordinate row has closed-form derivatives
-in its displacement and angles, and the shared state in p_a and p_b, so
-the same products carry value and derivative rows together, and the
-product rule gives the tables' Jacobian in one batched pass.  The optimum
-lies on the family where one party holds all the displacement, so a
-full-space restart runs its first stage on that family with Bob displaced:
-p_a = r = 0 and p_b = 1/2 held fixed, s and the eight angles searched.  A
-second stage then releases all 14 parameters.  The sign of either party's
-displacements and the exchange of the parties leave every table unchanged,
-so this family stands for its three mirror images.
+displacements bounded to the box and the angles unbounded.  Each point it
+visits is one pass of the kernel's one entry point, _fast_tables, which
+returns the tables with their exact Jacobian: a local coordinate row has
+closed-form derivatives in its displacement and angles, and the shared
+state in p_a and p_b, so the same products carry value and derivative
+rows together.  The optimum lies on the family where one party holds all
+the displacement, so a full-space restart runs its first stage on that
+family with Bob displaced: p_a = r = 0 and p_b = 1/2 held fixed, s and
+the eight angles searched.  A second stage then releases all 14
+parameters.  The sign of either party's displacements and the exchange
+of the parties leave every table unchanged, so this family stands for its
+three mirror images.
 
 Winning rule: outcomes 1 and bullet both announce bit 1; the players win
 when a XOR b = i AND j, each referee question pair weighted 1/4.
@@ -360,18 +361,19 @@ def _upsilon_right(pa: float, pb: float) -> np.ndarray:
     return v.reshape(3, 12, 12)
 
 
-def _fast_amplitudes(coef, state) -> np.ndarray:
+def _fast_amplitudes(vec) -> np.ndarray:
     """Right coordinates of the shared state after the local group elements
-    of Alice's setting I and Bob's setting J, as a real array
-    [fold, (I, J), row, (k, beta, re, i, alpha)]: fold 0 holds M, the real
-    (re 0) and imaginary (re 1) parts of the entry of ket (i, k) on monomial
-    alpha | beta << 2, times (-1)^(|i| |k|); fold 1 holds Kb M Ka^T.
+    of Alice's setting I and Bob's setting J, for the strategy vec, as a
+    real array [fold, (I, J), row, (k, beta, re, i, alpha)]: fold 0 holds M,
+    the real (re 0) and imaginary (re 1) parts of the entry of ket (i, k) on
+    monomial alpha | beta << 2, times (-1)^(|i| |k|); fold 1 holds Kb M Ka^T.
 
-    coef (as _local_coefficients) and state (as _upsilon_right) each stack
-    a value row on any number of derivative rows.  M is linear in Alice's
-    coordinates, in Bob's and in the state, so row 0 of the result is M
-    and, by the product rule, the rows after it are M's derivatives along
-    Alice's derivative rows, then Bob's, then the state's."""
+    _local_coefficients and _upsilon_right each stack a value row on their
+    derivative rows.  M is linear in Alice's coordinates, in Bob's and in
+    the state, so row 0 of the result is M and, by the product rule, the
+    rows after it are M's derivatives along Alice's derivative rows, then
+    Bob's, then the state's."""
+    coef, state = _local_coefficients(vec[2:]), _upsilon_right(vec[0], vec[1])
     rows = coef.shape[2]
     # alice[re, fold, (I, row), (j, alpha), (re', i, alpha')]
     alice = (coef[0].reshape(-1, 12) @ _ALICE).reshape(2, 2, 2 * rows, 12, 24)
@@ -392,14 +394,6 @@ def _fast_amplitudes(coef, state) -> np.ndarray:
     return np.concatenate((res, more), axis=3).reshape(2, 4, -1, 288)
 
 
-def _fast_tables(vec) -> np.ndarray:
-    """All four 9-outcome probability tables (rows ordered 00, 01, 10, 11)
-    of the 14 strategy entries vec."""
-    coef, state = _local_coefficients(vec[2:]), _upsilon_right(vec[0], vec[1])
-    m, folded = _fast_amplitudes(coef[:, :, :1], state[:1])[:, :, 0]
-    return (m * folded) @ _WEIGHTS
-
-
 # one-hot rows [(I, J), row, entry]: the strategy entry behind each
 # derivative row of _fast_amplitudes at setting (I, J), namely Alice's r_I,
 # theta_I, phi_I, Bob's s_J, theta_J, phi_J, then p_a and p_b; the tables
@@ -408,11 +402,13 @@ _JACOBIAN_ENTRIES = np.eye(14)[[(2 + i, 6 + 2 * i, 7 + 2 * i, 4 + j, 10 + 2 * j,
                                 for i, j in SETTINGS]]
 
 
-def _fast_tables_and_jacobian(vec) -> tuple[np.ndarray, np.ndarray]:
-    """_fast_tables(vec) and its exact Jacobian [(I, J), outcome, entry] in
-    the 14 strategy entries.  A table is (M o F) @ _WEIGHTS, so its
-    derivative along a row of _fast_amplitudes is (dM o F + M o dF) @ _WEIGHTS."""
-    amps = _fast_amplitudes(_local_coefficients(vec[2:]), _upsilon_right(vec[0], vec[1]))
+def _fast_tables(vec) -> tuple[np.ndarray, np.ndarray]:
+    """All four 9-outcome probability tables (rows ordered 00, 01, 10, 11)
+    of the 14 strategy entries vec, and their exact Jacobian
+    [(I, J), outcome, entry] in those entries.  A table is (M o F) @ _WEIGHTS,
+    so its derivative along a row of _fast_amplitudes is
+    (dM o F + M o dF) @ _WEIGHTS."""
+    amps = _fast_amplitudes(vec)
     # each fold's derivative rows times the other fold's value
     d = amps[:, :, 1:] * amps[::-1, :, :1]
     jac = ((d[0] + d[1]) @ _WEIGHTS).transpose(0, 2, 1) @ _JACOBIAN_ENTRIES
@@ -421,7 +417,7 @@ def _fast_tables_and_jacobian(vec) -> tuple[np.ndarray, np.ndarray]:
 
 def fast_outcome_tables(strat: Strategy) -> np.ndarray:
     """Vectorized counterpart of outcome_probs for all four settings."""
-    return _fast_tables(strat.to_vector())
+    return _fast_tables(strat.to_vector())[0]
 
 
 # 1/4 on each winning outcome of the four flattened tables
@@ -458,6 +454,10 @@ class OptimizeConfig:
     max_iters: int = 1000
     quantum_only: bool = False
 
+    def __post_init__(self):
+        if self.seed < 0 or self.restarts < 1 or self.max_iters < 0:
+            raise ValueError("seed must be >= 0, restarts >= 1, max_iters >= 0")
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -490,12 +490,12 @@ def _stage_problem(lead: tuple) -> dict:
     on the four tables, their exact derivatives and the bounds, for a search
     point behind the fixed entries lead: the free displacements in the box,
     the angles unbounded.  SLSQP asks for the values and the derivatives at
-    the same points, so the tables and their Jacobian in the free entries
-    are computed together and kept for the last point, by its bytes."""
+    the same points, so one _fast_tables pass per point gives both; its
+    tables and Jacobian in the free entries are kept for the last point."""
 
     @lru_cache(maxsize=1)
     def evaluated(point: bytes) -> tuple[np.ndarray, np.ndarray]:
-        t, jac = _fast_tables_and_jacobian([*lead, *np.frombuffer(point).tolist()])
+        t, jac = _fast_tables([*lead, *np.frombuffer(point).tolist()])
         return t.ravel(), jac.reshape(36, 14)[:, len(lead):]
 
     def constraints(x):
@@ -547,7 +547,7 @@ def optimize(config: OptimizeConfig = OptimizeConfig()) -> OptimizationResult:
             vec = np.concatenate((lead, res.x))
             total_iters += int(res.nit)
         vec = vec.tolist()
-        t = _fast_tables(vec)
+        t = _fast_tables(vec)[0]
         pwin = _pwin_from_tables(t)
         viol = _table_violation(t)
         if viol <= FEASIBILITY_TOL and (best is None or pwin > best[0]):

@@ -546,7 +546,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> chsh.OptimizeConfig:
     """Optimizer config: chsh.OptimizeConfig's defaults, overridden by the
-    config file and then by flags, each value of exactly its default's type."""
+    config file and then by flags, each value of exactly its default's type;
+    OptimizeConfig itself rejects values out of range."""
     defaults = chsh.OptimizeConfig()
     names = {f.name for f in fields(defaults)}
     overrides = {}
@@ -563,10 +564,7 @@ def _config_from_args(args) -> chsh.OptimizeConfig:
         if type(v) is not want:  # isinstance would take a bool for an int
             raise ValueError(f"config value {k}={v!r} has type {type(v).__name__}, "
                              f"not {want.__name__}")
-    cfg = replace(defaults, **overrides)
-    if cfg.seed < 0 or cfg.restarts < 1 or cfg.max_iters < 0:
-        raise ValueError("seed must be >= 0, restarts >= 1, max_iters >= 0")
-    return cfg
+    return replace(defaults, **overrides)
 
 
 def main(argv=None) -> int:

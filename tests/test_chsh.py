@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import superqubit
+from superqubit import chsh
 from superqubit.chsh import (
     _ALICE,
     _BOB,
@@ -32,11 +33,9 @@ from superqubit.chsh import (
     _WIN_WEIGHTS,
     _fast_amplitudes,
     _fast_tables,
-    _fast_tables_and_jacobian,
     _local_coefficients,
     _pwin_from_tables,
     _stage_problem,
-    _upsilon_right,
     best_classical_win_prob,
     constraint_violation,
     fast_outcome_tables,
@@ -179,7 +178,7 @@ def test_fast_amplitudes_match_apply_local():
         strat = _random_strategy(rng)
         # [fold, (I, J), k, beta, re, i, alpha] -> [fold, (I, J), (i, k), (beta, alpha)]
         vec = strat.to_vector()
-        amps = _fast_amplitudes(_local_coefficients(vec[2:]), _upsilon_right(vec[0], vec[1]))
+        amps = _fast_amplitudes(vec)
         amps = amps[:, :, 0].reshape(2, 4, 3, 4, 2, 3, 4)
         fast = amps[:, :, :, :, 0] + 1j * amps[:, :, :, :, 1]
         fast = fast.transpose(0, 1, 4, 2, 3, 5).reshape(2, 4, 9, 16)
@@ -356,7 +355,7 @@ def test_stage_problem_is_the_constrained_win_probability():
             vec = np.concatenate((lead, x))
             tables = fast_outcome_tables(Strategy.from_vector(vec))
             t = tables.ravel()
-            jac = _fast_tables_and_jacobian(vec.tolist())[1].reshape(36, 14)[:, len(lead):]
+            jac = _fast_tables(vec.tolist())[1].reshape(36, 14)[:, len(lead):]
             for _ in range(2):  # fresh, then from the kept tables
                 assert fun(x) == -_pwin_from_tables(tables)
                 assert np.array_equal(constraints(x), np.concatenate((t, 1.0 - t)))
@@ -374,12 +373,38 @@ def test_fast_jacobian_matches_central_differences():
     rng = np.random.default_rng(29)
     for _ in range(10):
         vec = np.concatenate((rng.uniform(-BOX_LIMIT, BOX_LIMIT, 6), rng.uniform(-4, 4, 8)))
-        tables, jac = _fast_tables_and_jacobian(vec.tolist())
+        tables, jac = _fast_tables(vec.tolist())
         assert jac.shape == (4, 9, 14)
-        assert np.array_equal(tables, _fast_tables(vec.tolist()))
-        want = _central_differences(lambda v: _fast_tables(v.tolist()), vec)
+        strat = Strategy.from_vector(vec)
+        exact = np.array([outcome_probs(i, j, strat) for i, j in SETTINGS])
+        assert np.max(np.abs(tables - exact)) < 1e-13
+        want = _central_differences(lambda v: _fast_tables(v.tolist())[0], vec)
         assert np.max(np.abs(jac - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
         assert np.abs(jac[:, :, :2]).max() > 0.0  # p_a and p_b move the tables
+
+
+def test_search_evaluates_every_point_through_fast_tables(monkeypatch):
+    # _fast_tables is the kernel's one entry point: every point SLSQP visits
+    # goes through it, not only the check at the end of each restart
+    calls = []
+    kernel = chsh._fast_tables
+
+    def counted(vec):
+        calls.append(vec)
+        return kernel(vec)
+
+    monkeypatch.setattr(chsh, "_fast_tables", counted)
+    res = optimize(OptimizeConfig(seed=5, restarts=1, max_iters=50))
+    assert res.iterations > 1
+    assert len(calls) > res.iterations
+
+
+def test_optimize_config_rejects_out_of_range_values():
+    for bad in ({"restarts": 0}, {"max_iters": -1}, {"seed": -1}):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, restarts >= 1, max_iters >= 0"):
+            OptimizeConfig(**bad)
+    # the edges of each range are valid
+    OptimizeConfig(seed=0, restarts=1, max_iters=0)
 
 
 def test_restarts_once_left_infeasible_are_feasible():

@@ -346,8 +346,10 @@ def test_chsh_optimize_rejects_unknown_config_keys(tmp_path, capsys):
 
 
 def test_chsh_optimize_rejects_invalid_values(tmp_path, capsys):
-    assert cli.main(["chsh-optimize", "--restarts", "0"]) == 2
-    assert cli.main(["chsh-optimize", "--max-iters", "-1", "--restarts", "1"]) == 2
+    for flags in (["--restarts", "0"], ["--max-iters", "-1", "--restarts", "1"],
+                  ["--seed", "-1", "--restarts", "1"]):
+        assert cli.main(["chsh-optimize", *flags]) == 2
+        assert "seed must be >= 0, restarts >= 1, max_iters >= 0" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     for value in (None, [1], "many"):
         cfg.write_text(cli.dumps({"restarts": value}))
