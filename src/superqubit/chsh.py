@@ -3,10 +3,11 @@
 Strategies carry two state displacements, per-setting local displacements
 and SU(2) angles for both players.  Evaluation follows the exact
 Grassmann path (superstate.measure_real of the locally rotated shared
-state).  The optimizer uses a dense vectorized evaluator built on the
-graded tensor factorisation CL_4 = CL_2 (x) CL_2 of the two players'
-generator pairs.  A coefficient vector is a 4x4 array [Bob's monomial,
-Alice's monomial]; an entry of Alice's group element multiplies it from
+state); the shared state and the four group elements of a strategy are
+built once for its four settings.  The optimizer uses a dense vectorized
+evaluator built on the graded tensor factorisation CL_4 = CL_2 (x) CL_2 of
+the two players' generator pairs.  A coefficient vector is a 4x4 array
+[Bob's monomial, Alice's monomial]; an entry of Alice's group element multiplies it from
 the right by a 4x4 matrix of CL_2, one of Bob's from the left up to a
 constant sign.  Each local group element is linear in 12 products of
 trigonometric features of its angles with powers of its displacement, so
@@ -22,7 +23,7 @@ so every product runs on real arrays: Alice's complex tables as
 [[Re, Im], [-Im, Re]] blocks, Bob's as their real and imaginary parts.
 The shared state, the layout of U and the outcome signs are read from the
 exact algebra too, so no sign convention is restated here.  The test suite
-cross-checks it against the exact path.
+and `superqubit verify` hold it to the exact path within KERNEL_TOL.
 
 The search (optimize) is a seeded multi-start SLSQP that maximizes p_win
 under the 72 constraints 0 <= t <= 1 on the four tables, with the free
@@ -117,11 +118,26 @@ def local_rotation(displacement: float, theta: float, phi: float, pair: int) -> 
 
 
 def outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
-    """Nine outcome probabilities for question pair (i, j), exact path."""
-    state = upsilon(strat.p_a, strat.p_b)
-    za = local_rotation(strat.r[i], strat.alice[i][0], strat.alice[i][1], pair=1)
-    zb = local_rotation(strat.s[j], strat.bob[j][0], strat.bob[j][1], pair=2)
-    return measure_real(apply_local(state, za, zb))
+    """Nine outcome probabilities for question pair (i, j), exact path:
+    measure_real of the shared state after Alice's group element for
+    setting i and Bob's for setting j.  The shared state and the four group
+    elements of the strategy are built once and kept for the next call."""
+    state, alice, bob = _strategy_parts(np.array(strat.to_vector(), dtype=float).tobytes())
+    return measure_real(apply_local(state, alice[i], bob[j]))
+
+
+@lru_cache(maxsize=1)  # callers ask for the four settings of one strategy in a row
+def _strategy_parts(vec: bytes):
+    """(upsilon, Alice's two group elements, Bob's two) of the strategy
+    vector with these float64 bytes.  Keyed on the bytes, not on float
+    equality, so that -0.0 and 0.0 are different keys and no earlier call
+    decides what a later one returns."""
+    strat = Strategy.from_vector(np.frombuffer(vec).tolist())
+    return (
+        upsilon(strat.p_a, strat.p_b),
+        tuple(local_rotation(strat.r[i], *strat.alice[i], pair=1) for i in (0, 1)),
+        tuple(local_rotation(strat.s[j], *strat.bob[j], pair=2) for j in (0, 1)),
+    )
 
 
 def win_prob(strat: Strategy) -> float:
@@ -418,6 +434,11 @@ def _fast_tables(vec) -> tuple[np.ndarray, np.ndarray]:
 def fast_outcome_tables(strat: Strategy) -> np.ndarray:
     """Vectorized counterpart of outcome_probs for all four settings."""
     return _fast_tables(strat.to_vector())[0]
+
+
+# how far fast_outcome_tables may lie from the exact path (worst measured:
+# 4.4e-16 over 600 random strategies in the box, angles up to 1e3)
+KERNEL_TOL = 1e-13
 
 
 # 1/4 on each winning outcome of the four flattened tables

@@ -15,7 +15,10 @@ the hash image of each monomial are cached by mask; masks are independent
 of the algebra order, so each cache holds at most 2^MAX_ORDER entries.  The
 modified Rogers norm is a dot product with the closed form of its
 Berezin-integral definition: a product of k full conjugate pairs has weight
-(-1)^k and every other monomial weight 0, whatever the algebra order.
+(-1)^k and every other monomial weight 0, whatever the algebra order.  The
+norm of a product, rogers_of_product(a, b), is read off the two factors
+without forming it: each monomial of a meets only the monomials of b that
+complete it to a full-pair mask, listed once per (mask, order).
 
 Everything here is a pure function on immutable values.
 """
@@ -426,6 +429,47 @@ def _rogers_integral(a: Supernumber) -> complex:
 # the nonzero Rogers weights: (-1)^k on each product of k full conjugate pairs
 _PAIR_WEIGHTS = {sum(3 << 2 * i for i in range(MAX_ORDER // 2) if pairs >> i & 1):
                  (-1.0) ** pairs.bit_count() for pairs in range(1 << MAX_ORDER // 2)}
+
+
+def rogers_of_product(a: Supernumber, b: Supernumber) -> complex:
+    """modified_rogers(a * b) without forming the product.
+
+    Only the full-pair monomials P of a * b carry weight, and e_ma e_mb
+    lands on P exactly when mb = P ^ ma, so the norm is the sum over the
+    monomials ma of a of w[P] * sign(ma, mb) * a[ma] * b[mb] over the
+    full-pair masks P that contain ma.  No zero rule applies to the
+    product's coefficients.  a and b must be homogeneous of one parity
+    (zero counts as even), so that the product is even.
+    """
+    if a.order != b.order:
+        raise DimensionMismatch(f"orders differ: {a.order} vs {b.order}")
+    pa, pb = a.parity(), b.parity()
+    if pa is None or pa != pb:
+        raise ParityError("modified Rogers norm requires an even element")
+    bt = b._terms
+    val = 0j
+    for ma, ca in a._terms.items():
+        for mb, w in _rogers_partners(ma, a.order):
+            cb = bt.get(mb)
+            if cb is not None:
+                val += w * (ca * cb)
+    return val
+
+
+def _rogers_partners(mask: int, order: int) -> tuple[tuple[int, float], ...]:
+    """(mb, w[P] * sign(mask, mb)) for each full-pair mask P of the order
+    that contains mask, with mb = P ^ mask."""
+    key = (mask, order)
+    partners = _ROGERS_PARTNERS.get(key)
+    if partners is None:
+        sa = _above(mask)
+        partners = _ROGERS_PARTNERS[key] = tuple(
+            (p ^ mask, -w if (sa & (p ^ mask)).bit_count() & 1 else w)
+            for p, w in _PAIR_WEIGHTS.items() if p >> order == 0 and p & mask == mask)
+    return partners
+
+
+_ROGERS_PARTNERS: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
 
 
 def pair_product(pair: int, order: int) -> Supernumber:

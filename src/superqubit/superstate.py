@@ -27,8 +27,8 @@ from .grassmann import (
     ParityError,
     Supernumber,
     _sum_of_products,
-    modified_rogers,
     pair_product,
+    rogers_of_product,
 )
 from .supermatrix import Supermatrix
 from .uosp import VEC_PARITY, s_matrix, u_matrix
@@ -301,7 +301,9 @@ def grassmann_transition(u: SuperState, v: SuperState) -> Supernumber:
 
 
 def transition_real(u: SuperState, v: SuperState) -> float:
-    return modified_rogers(grassmann_transition(u, v)).real
+    """modified_rogers(grassmann_transition(u, v)), read off <u|v> and its hash."""
+    s = inner_product(u, v)
+    return rogers_of_product(s, s.hash()).real
 
 
 def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
@@ -316,8 +318,14 @@ def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
 
 
 def measure_real(state: SuperState) -> list[float]:
-    """Real outcome probabilities via the modified Rogers norm."""
-    return [modified_rogers(t).real for t in grassmann_outcomes(state)]
+    """Real outcome probabilities via the modified Rogers norm: the norm of
+    each outcome of grassmann_outcomes, read off x_I and hash(x_I) without
+    forming their product."""
+    out = []
+    for x, sign in zip(state._right, _OUTCOME_SIGN[state.parties]):
+        r = rogers_of_product(x, x.hash()).real
+        out.append(sign * r if r else 0.0)  # an empty sum stays +0.0
+    return out
 
 
 # -- rotations ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .grassmann import COMPARE_TOL, Supernumber, pair_product
+from .grassmann import COMPARE_TOL, MAX_ORDER, Supernumber, _new as _new_number, _pruned
 from .supermatrix import Supermatrix, _new
 
 VEC_PARITY = (0, 0, 1)
@@ -51,17 +51,26 @@ def s_matrix(p: float, order: int = 2, pair: int = 1) -> Supermatrix:
     [[1 + p^2/2 X, 0,           -p eta# ],
      [0,           1 + p^2/2 X, -p eta  ],
      [p eta,       -p eta#,     1 - p^2 X]]   with X = eta eta#.
+
+    The entries are built as coefficient dicts, with the zero rule of the
+    arithmetic that spells them out: the single terms drop only exact
+    zeros, the two sums drop |c| <= PRUNE_TOL.
     """
-    eta = Supernumber.eta(pair, order)
-    etah = Supernumber.eta_hash(pair, order)
-    x = pair_product(pair, order)
-    one = Supernumber.one(order)
-    z = Supernumber.zero(order)
-    gamma = one + x * (p * p / 2.0)
+    if order % 2 or not 0 < 2 * pair <= order <= MAX_ORDER:
+        raise ValueError(f"generator pair {pair} out of range for order {order}")
+    eta = 1 << (2 * pair - 2)
+    etah = eta << 1
+
+    def term(mask, c):
+        return _new_number(order, {mask: complex(c)} if c else {})
+
+    z = _new_number(order, {})
+    gamma = _pruned(order, {0: 1 + 0j, eta | etah: complex(p * p / 2.0)})
+    corner = _pruned(order, {0: 1 + 0j, eta | etah: complex(-(p * p))})
     rows = (
-        (gamma, z, etah * (-p)),
-        (z, gamma, eta * (-p)),
-        (eta * p, etah * (-p), one - x * (p * p)),
+        (gamma, z, term(etah, -p)),
+        (z, gamma, term(eta, -p)),
+        (term(eta, p), term(etah, -p), corner),
     )
     return _new(rows, VEC_PARITY, VEC_PARITY, 0, order)
 

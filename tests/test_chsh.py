@@ -24,6 +24,7 @@ from superqubit.chsh import (
     _M,
     _STAGES,
     BOX_LIMIT,
+    KERNEL_TOL,
     OUTCOME_LABELS,
     SETTINGS,
     WIN_DIFF,
@@ -47,7 +48,7 @@ from superqubit.chsh import (
     win_prob,
 )
 from superqubit.grassmann import Supernumber, modified_rogers
-from superqubit.superstate import apply_local, digits_of, index_of, upsilon
+from superqubit.superstate import apply_local, digits_of, grassmann_outcomes, index_of, upsilon
 from superqubit.uosp import VEC_PARITY, s_matrix, u_matrix
 
 from conftest import rand_supernumber
@@ -148,6 +149,79 @@ def test_tables_are_normalized():
             assert sum(table) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_outcome_probs_keeps_no_stale_parts():
+    # the parts kept between calls are keyed on the vector's bytes, so -0.0
+    # and 0.0 never share them: whatever the call history, every call gives
+    # the bytes of an evaluation from scratch
+    rng = random.Random(37)
+    vec = [0.0 if k % 3 else rng.uniform(-3, 3) for k in range(14)]
+    twins = [Strategy.from_vector(vec), Strategy.from_vector([-x if x == 0.0 else x for x in vec])]
+    fresh = []
+    for strat in twins:
+        chsh._strategy_parts.cache_clear()
+        fresh.append([repr(outcome_probs(i, j, strat)) for i, j in SETTINGS])
+    for _ in range(2):
+        for strat, want in zip(twins, fresh):
+            # interleaved settings and strategies
+            for (i, j), table in zip(SETTINGS, want):
+                assert repr(outcome_probs(i, j, strat)) == table
+                key = np.array(strat.to_vector(), dtype=float).tobytes()
+                _, alice, bob = chsh._strategy_parts(key)
+                assert repr(alice[i].entries) == repr(
+                    local_rotation(strat.r[i], *strat.alice[i], pair=1).entries)
+                assert repr(bob[j].entries) == repr(
+                    local_rotation(strat.s[j], *strat.bob[j], pair=2).entries)
+
+
+def _marginals(tables, party):
+    """Each party's outcome marginals, [own setting, other's setting, outcome],
+    from tables indexed [(I, J), 3 a + b]; the other party's outcome summed
+    in its order 0, 1, bullet."""
+    out = [[None] * 2 for _ in range(2)]
+    for (i, j), table in zip(SETTINGS, tables):
+        own, other = (i, j) if party == 0 else (j, i)
+        cells = [[table[3 * a + b] for b in range(3)] for a in range(3)]
+        if party == 1:
+            cells = [list(col) for col in zip(*cells)]
+        out[own][other] = [sum(row[1:], row[0]) for row in cells]
+    return out
+
+
+def test_no_signalling_on_grassmann_outcomes():
+    # each party's marginal supernumbers do not depend on the other party's
+    # setting: their difference, formed in the algebra, has no term.  The
+    # draws are uniform in the box; displacements near 1e-7 are left out, as
+    # there the PRUNE_TOL zero rule leaves residual souls of up to ~2.5e-14
+    rng = random.Random(43)
+    compared = 0
+    for _ in range(60):
+        strat = Strategy.from_vector([rng.uniform(-BOX_LIMIT, BOX_LIMIT) for _ in range(6)]
+                                     + [rng.uniform(-math.pi, math.pi) for _ in range(8)])
+        ups = upsilon(strat.p_a, strat.p_b)
+        tables = [grassmann_outcomes(apply_local(
+            ups, local_rotation(strat.r[i], *strat.alice[i], pair=1),
+            local_rotation(strat.s[j], *strat.bob[j], pair=2))) for i, j in SETTINGS]
+        for party in (0, 1):
+            for own in _marginals(tables, party):
+                for first, second in zip(*own):
+                    assert (first - second).terms() == {}
+                    compared += 1
+    assert compared == 720
+
+
+def test_no_signalling_on_outcome_probs():
+    rng = random.Random(47)
+    worst = 0.0
+    for _ in range(400):
+        strat = Strategy.from_vector([rng.uniform(-BOX_LIMIT, BOX_LIMIT) for _ in range(6)]
+                                     + [rng.uniform(-math.pi, math.pi) for _ in range(8)])
+        tables = [outcome_probs(i, j, strat) for i, j in SETTINGS]
+        for party in (0, 1):
+            for own in _marginals(tables, party):
+                worst = max(worst, np.max(np.abs(np.subtract(*own))))
+    assert worst <= 1e-13
+
+
 def test_fast_tables_match_exact_evaluator():
     rng = random.Random(7)
     strategies = [_random_strategy(rng, super_scale=0.8) for _ in range(20)]
@@ -166,7 +240,7 @@ def test_fast_tables_match_exact_evaluator():
         assert fast.shape == (4, 9)
         for row, (i, j) in enumerate(SETTINGS):
             exact = outcome_probs(i, j, strat)
-            assert np.max(np.abs(fast[row] - np.asarray(exact))) < 1e-13
+            assert np.max(np.abs(fast[row] - np.asarray(exact))) < KERNEL_TOL
 
 
 def test_fast_amplitudes_match_apply_local():
@@ -377,7 +451,7 @@ def test_fast_jacobian_matches_central_differences():
         assert jac.shape == (4, 9, 14)
         strat = Strategy.from_vector(vec)
         exact = np.array([outcome_probs(i, j, strat) for i, j in SETTINGS])
-        assert np.max(np.abs(tables - exact)) < 1e-13
+        assert np.max(np.abs(tables - exact)) < KERNEL_TOL
         want = _central_differences(lambda v: _fast_tables(v.tolist())[0], vec)
         assert np.max(np.abs(jac - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
         assert np.abs(jac[:, :, :2]).max() > 0.0  # p_a and p_b move the tables

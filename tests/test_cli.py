@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -383,6 +384,20 @@ def test_chsh_optimize_small_run_is_reproducible(tmp_path, capsys):
     csv_a = (tmp_path / "a.json.csv").read_bytes()
     csv_b = (tmp_path / "b.json.csv").read_bytes()
     assert csv_a == csv_b
+    capsys.readouterr()
+
+
+def test_chsh_optimize_writes_no_negative_zero(tmp_path, capsys):
+    # the optimum has a dozen table entries that are exactly 0; each must be
+    # written as 0, never as -0
+    out = tmp_path / "opt.json"
+    argv = ["chsh-optimize", "--seed", "3", "--restarts", "2", "--max-iters", "150"]
+    assert cli.main([*argv, "--json", str(out)]) == 0
+    tables = json.loads(out.read_text())["result"]["tables"]
+    entries = [x for table in tables.values() for x in table]
+    assert entries.count(0.0) >= 10
+    assert not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in entries)
+    assert not re.search(r"-0(?![.\deE])", out.read_text())
     capsys.readouterr()
 
 

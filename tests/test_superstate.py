@@ -376,6 +376,30 @@ def test_outcome_sum_is_exactly_one_after_local_rotations():
         assert sum(probs) == pytest.approx(1.0, abs=1e-13)
 
 
+def test_measure_real_is_the_norm_of_each_grassmann_outcome():
+    # measure_real reads each norm off x_I and hash(x_I) without forming
+    # the product, so only the rounding of the sum may differ
+    rng = random.Random(31)
+    states = [superqubit(rng.uniform(-1.5, 1.5), rng.uniform(-6, 6), rng.uniform(-6, 6))
+              for _ in range(10)]
+    for _ in range(10):
+        za, zb = (group_element(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-0.5, 0.5),
+                                order=4, pair=pair) for pair in (1, 2))
+        states.append(apply_local(upsilon(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), za, zb))
+    states += [SuperState.basis_state(label, 2) for label in ("00", "1*", "**")]
+    for state in states:
+        want = [modified_rogers(t).real for t in grassmann_outcomes(state)]
+        assert measure_real(state) == pytest.approx(want, abs=1e-14)
+
+
+def test_measure_real_writes_no_negative_zero():
+    # an empty outcome on a ket of outcome sign -1 reads +0.0, as its
+    # Rogers norm does
+    for state in (superqubit(0.0, 0.3, 0.1), SuperState.basis_state("00", 2)):
+        for prob in measure_real(state):
+            assert prob != 0.0 or math.copysign(1.0, prob) == 1.0
+
+
 # -- tensor products and party swap ------------------------------------------------
 
 

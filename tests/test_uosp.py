@@ -105,6 +105,36 @@ def test_s_matrix_pinned_entries():
     assert s[0, 1].is_zero() and s[1, 0].is_zero()
 
 
+def test_s_matrix_entries_are_those_of_the_arithmetic_form():
+    # bit for bit, zero rule included: the single terms drop only exact
+    # zeros, and the sums drop what is <= PRUNE_TOL (the p^2/2 term inside
+    # the window 1.05e-7..1.4e-7, all of p^2 at |p| <= 1e-15)
+    rng = random.Random(41)
+    ps = [rng.uniform(-2.0, 2.0) for _ in range(60)]
+    ps += [rng.choice((-1, 1)) * rng.uniform(1.05e-7, 1.4e-7) for _ in range(30)]
+    ps += [rng.uniform(-1e-15, 1e-15) for _ in range(20)] + [0.0, -0.0, 5e-324]
+    for order in (2, 4, 6):
+        one, z = Supernumber.one(order), Supernumber.zero(order)
+        for pair in range(1, order // 2 + 1):
+            eta, etah = Supernumber.eta(pair, order), Supernumber.eta_hash(pair, order)
+            x = pair_product(pair, order)
+            for p in ps:
+                gamma = one + x * (p * p / 2.0)
+                want = ((gamma, z, etah * (-p)),
+                        (z, gamma, eta * (-p)),
+                        (eta * p, etah * (-p), one - x * (p * p)))
+                got = s_matrix(p, order, pair).entries
+                for got_row, want_row in zip(got, want):
+                    for g, w in zip(got_row, want_row):
+                        assert repr(g.terms()) == repr(w.terms()), (order, pair, p)
+
+
+@pytest.mark.parametrize("order, pair", ((2, 0), (2, 2), (4, 3), (6, -1), (3, 1)))
+def test_s_matrix_rejects_a_pair_out_of_range(order, pair):
+    with pytest.raises(ValueError):
+        s_matrix(0.3, order, pair)
+
+
 def test_s_matrix_second_pair_uses_other_generators():
     s = s_matrix(0.3, ORDER, pair=2)
     assert s[2, 0] == 0.3 * Supernumber.eta(2, ORDER)
