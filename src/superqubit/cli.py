@@ -348,7 +348,7 @@ def _checks():
     # CHSH baselines and the vectorized evaluator
     worst = abs(chsh.win_prob(chsh.Strategy.tsirelson()) - math.cos(math.pi / 8) ** 2)
     worst = max(worst, abs(chsh.best_classical_win_prob() - 0.75))
-    drift = 0.0
+    drift = signal = 0.0
     for _ in range(3):
         strat = chsh.Strategy.from_vector(
             [rng.uniform(-0.5, 0.5) for _ in range(6)]
@@ -357,10 +357,16 @@ def _checks():
         for k, (i, j) in enumerate(chsh.SETTINGS):
             ex = chsh.outcome_probs(i, j, strat)
             drift = max(drift, max(abs(ft[k][m] - ex[m]) for m in range(9)))
+        # [Alice's setting, Bob's setting, Alice's outcome, Bob's outcome]
+        ft = ft.reshape(2, 2, 3, 3)
+        alice, bob = ft.sum(axis=3), ft.sum(axis=2)
+        signal = max(signal, abs(alice[:, 0] - alice[:, 1]).max(), abs(bob[0] - bob[1]).max())
         quantum = chsh.Strategy(alice=strat.alice, bob=strat.bob)
         worst = max(worst, abs(chsh.win_prob(quantum) - chsh.oracle_win_prob(quantum)))
     yield "game baselines match closed forms and the oracle", worst, 1e-10
     yield "vectorized evaluator matches exact path", drift, chsh.KERNEL_TOL
+    yield ("no signalling: each party's marginals ignore the other's setting",
+           signal, chsh.KERNEL_TOL)
 
 
 def cmd_verify(args) -> int:
@@ -460,6 +466,7 @@ def cmd_chsh_optimize(args) -> int:
             "feasible": result.feasible,
             "iterations": result.iterations,
             "best_restart": result.best_restart,
+            "kernel_drift": result.kernel_drift,
         },
     }, result.tables)
     if not result.feasible:

@@ -20,8 +20,11 @@ from superqubit import chsh
 from superqubit.chsh import (
     _ALICE,
     _BOB,
+    _KA,
+    _KB,
     _KH,
     _M,
+    _SIGMA,
     _STAGES,
     BOX_LIMIT,
     KERNEL_TOL,
@@ -34,6 +37,7 @@ from superqubit.chsh import (
     _WIN_WEIGHTS,
     _fast_amplitudes,
     _fast_tables,
+    _fold,
     _local_coefficients,
     _pwin_from_tables,
     _stage_problem,
@@ -245,17 +249,20 @@ def test_fast_tables_match_exact_evaluator():
 
 def test_fast_amplitudes_match_apply_local():
     # the probabilities cannot see a sign that depends only on Bob's
-    # monomials, so the Koszul signs are checked on the amplitudes
+    # monomials, so the Koszul signs are checked on the amplitudes; the
+    # partner F that _fast_tables folds from the value row is Kb (x) Ka on them
     rng = random.Random(19)
     folded = np.kron(_KH[::4, ::4], _KH[:4, :4])  # Kb (x) Ka on masks alpha | beta << 2
+
+    def by_ket(a):
+        # [(I, J), k, beta, re, i, alpha] -> [(I, J), (i, k), (beta, alpha)]
+        a = a.reshape(4, 3, 4, 2, 3, 4)
+        return (a[:, :, :, 0] + 1j * a[:, :, :, 1]).transpose(0, 3, 1, 2, 4).reshape(4, 9, 16)
+
     for _ in range(4):
         strat = _random_strategy(rng)
-        # [fold, (I, J), k, beta, re, i, alpha] -> [fold, (I, J), (i, k), (beta, alpha)]
-        vec = strat.to_vector()
-        amps = _fast_amplitudes(vec)
-        amps = amps[:, :, 0].reshape(2, 4, 3, 4, 2, 3, 4)
-        fast = amps[:, :, :, :, 0] + 1j * amps[:, :, :, :, 1]
-        fast = fast.transpose(0, 1, 4, 2, 3, 5).reshape(2, 4, 9, 16)
+        values = _fast_amplitudes(strat.to_vector())[:, 0]
+        fast, fold = by_ket(values), by_ket(_fold(values))
         for row, (i, j) in enumerate(SETTINGS):
             za = local_rotation(strat.r[i], *strat.alice[i], pair=1)
             zb = local_rotation(strat.s[j], *strat.bob[j], pair=2)
@@ -264,8 +271,8 @@ def test_fast_amplitudes_match_apply_local():
                 a, b = digits_of(ket, 2)
                 sign = -1.0 if VEC_PARITY[a] * VEC_PARITY[b] else 1.0
                 want = sign * _coefficients(state.right_coefficient(ket))
-                assert np.max(np.abs(fast[0, row, ket] - want)) <= 1e-14
-                assert np.max(np.abs(fast[1, row, ket] - folded @ want)) <= 1e-14
+                assert np.max(np.abs(fast[row, ket] - want)) <= 1e-14
+                assert np.max(np.abs(fold[row, ket] - folded @ want)) <= 1e-14
 
 
 def _coefficients(x: Supernumber) -> np.ndarray:
@@ -276,16 +283,16 @@ def _coefficients(x: Supernumber) -> np.ndarray:
 
 
 def _complex_tables(vec):
-    """Alice's [fold, setting, j, alpha, i, alpha'] and Bob's
-    [fold, setting, k, beta', l, beta] tables, read from their real blocks."""
+    """Alice's [setting, j, alpha, i, alpha'] and Bob's
+    [setting, k, beta', l, beta] tables, read from their real blocks."""
     coef = _local_coefficients(vec)[:, :, 0]
-    # [re, fold, setting, (j, alpha), re', (i, alpha')]: [[Ar, Ai], [-Ai, Ar]]
-    alice = (coef[0] @ _ALICE).reshape(2, 2, 2, 12, 2, 12)
-    assert np.array_equal(alice[1, :, :, :, 1], alice[0, :, :, :, 0])
-    assert np.array_equal(alice[1, :, :, :, 0], -alice[0, :, :, :, 1])
-    bob = (coef[1] @ _BOB).reshape(2, 2, 2, 12, 12)  # [re, fold, setting, (k, beta'), (l, beta)]
-    return ((alice[0, :, :, :, 0] + 1j * alice[0, :, :, :, 1]).reshape(2, 2, 3, 4, 3, 4),
-            (bob[0] + 1j * bob[1]).reshape(2, 2, 3, 4, 3, 4))
+    # [setting, re, (j, alpha), re', (i, alpha')]: [[Ar, Ai], [-Ai, Ar]]
+    alice = (coef[0] @ _ALICE).reshape(2, 2, 12, 2, 12)
+    assert np.array_equal(alice[:, 1, :, 1], alice[:, 0, :, 0])
+    assert np.array_equal(alice[:, 1, :, 0], -alice[:, 0, :, 1])
+    bob = (coef[1] @ _BOB).reshape(2, 12, 2, 12)  # [setting, (k, beta'), re, (l, beta)]
+    return ((alice[:, 0, :, 0] + 1j * alice[:, 0, :, 1]).reshape(2, 3, 4, 3, 4),
+            (bob[:, :, 0] + 1j * bob[:, :, 1]).reshape(2, 3, 4, 3, 4))
 
 
 def test_hash_rogers_form_factorises_over_the_players():
@@ -297,6 +304,16 @@ def test_hash_rogers_form_factorises_over_the_players():
         (bx, ax), (by, ay) = divmod(x, 4), divmod(y, 4)
         sign = -1.0 if parity[ax] * parity[bx] else 1.0
         assert _KH[x, y] == sign * kb[bx, by] * ka[ax, ay]
+
+
+def test_hash_rogers_form_is_symmetric():
+    # _fast_tables takes 2 (dM o F) for dM o F + M o dF, which needs the
+    # form (-1)^(|alpha| |beta|) Kb[beta, beta'] Ka[alpha, alpha'] symmetric,
+    # exactly
+    assert np.array_equal(_KA, _KA.T)
+    assert np.array_equal(_KB, _KB.T)
+    form = np.einsum("ba,bc,ad->bacd", _SIGMA, _KB, _KA).reshape(16, 16)
+    assert np.array_equal(form, form.T)
 
 
 def test_kernel_tables_reproduce_exact_algebra():
@@ -322,15 +339,11 @@ def test_kernel_tables_reproduce_exact_algebra():
         sign = -1.0 if parity[bx] * parity[ay] else 1.0
         assert np.array_equal(_M[x, y].reshape(4, 4), sign * np.outer(m2[bx, by], m1[ax, ay]))
     # each player's left-multiplication tables against products with the
-    # entries of the exact group elements: random angles, then none; the
-    # folded tables carry Ka^T on Alice's alpha' and Kb on Bob's beta'
-    ka, kb = _KH[:4, :4], _KH[::4, ::4]
+    # entries of the exact group elements: random angles, then none
     for angle_scale in (3.0, 0.0):
         vec = ([rng.uniform(-1, 1) for _ in range(4)]
                + [rng.uniform(-angle_scale, angle_scale) for _ in range(8)])
-        (alice, alice_folded), (bob, bob_folded) = _complex_tables(vec)
-        assert np.max(np.abs(alice_folded - alice @ ka.T)) <= 1e-14
-        assert np.max(np.abs(bob_folded - np.einsum("ab,skbld->skald", kb, bob))) <= 1e-14
+        alice, bob = _complex_tables(vec)
         for setting in range(2):
             za = local_rotation(vec[setting], vec[4 + 2 * setting], vec[5 + 2 * setting], pair=1)
             zb = local_rotation(vec[2 + setting], vec[8 + 2 * setting], vec[9 + 2 * setting], pair=2)
@@ -432,14 +445,68 @@ def test_stage_problem_is_the_constrained_win_probability():
             jac = _fast_tables(vec.tolist())[1].reshape(36, 14)[:, len(lead):]
             for _ in range(2):  # fresh, then from the kept tables
                 assert fun(x) == -_pwin_from_tables(tables)
-                assert np.array_equal(constraints(x), np.concatenate((t, 1.0 - t)))
+                assert np.array_equal(constraints(x), t)
                 assert np.array_equal(grad(x), -_WIN_WEIGHTS @ jac)
-                assert np.array_equal(constraints_jac(x), np.concatenate((jac, -jac)))
+                assert np.array_equal(constraints_jac(x), jac)
             # the derivatives are those of the objective and the constraints
             for f, df in ((fun, grad), (constraints, constraints_jac)):
                 want = _central_differences(f, x)
                 scale = max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(df(x) - want)) <= 1e-7 * scale
+
+
+def test_table_rows_sum_to_one_so_upper_bounds_are_implied():
+    # SLSQP gets only t >= 0: t <= 1 follows from the other entries of the
+    # row, for the tables and for their linearization, because every row
+    # sums to one and every Jacobian row to zero
+    rng = np.random.default_rng(31)
+    sums = slopes = 0.0
+    for _ in range(300):
+        vec = np.concatenate((rng.uniform(-BOX_LIMIT, BOX_LIMIT, 6),
+                              rng.uniform(-math.pi, math.pi, 8)))
+        tables, jac = _fast_tables(vec.tolist())
+        sums = max(sums, np.max(np.abs(tables.sum(axis=1) - 1.0)))
+        slopes = max(slopes, np.max(np.abs(jac.sum(axis=1))))
+    assert sums <= 1e-15
+    assert slopes <= 1e-14
+
+
+def test_constraint_violation_reports_an_entry_above_one():
+    # the search constrains only t >= 0; every reported result is still
+    # checked on both sides
+    tables = np.zeros((4, 9))
+    tables[:, 0] = 1.0
+    tables[2, :3] = (-0.1, -0.2, 1.3)  # the row still sums to one
+    assert constraint_violation(Strategy(), tables=tables) == pytest.approx(0.3, abs=1e-15)
+    tables[2, :3] = (0.0, -0.2, 1.2)
+    assert constraint_violation(Strategy(), tables=tables) == pytest.approx(0.2, abs=1e-15)
+    tables[2, :3] = (1.0, 0.0, 0.0)
+    assert constraint_violation(Strategy(), tables=tables) == 0.0
+
+
+def test_fast_tables_do_not_depend_on_blas_threads():
+    # the kernel's bytes on 50 seeded points, in one process with a single
+    # OpenBLAS thread and in one with the default
+    code = (
+        "import sys, numpy as np\n"
+        "from superqubit.chsh import _fast_tables\n"
+        "rng = np.random.default_rng(41)\n"
+        "for _ in range(50):\n"
+        "    v = np.concatenate((rng.uniform(-0.5, 0.5, 6), rng.uniform(-4, 4, 8))).tolist()\n"
+        "    t, jac = _fast_tables(v)\n"
+        "    sys.stdout.buffer.write(np.ascontiguousarray(t).tobytes() + jac.tobytes())\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(superqubit.__file__).parents[1])
+    out = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              timeout=120, env={**env, **threads})
+        assert proc.returncode == 0, proc.stderr.decode()
+        out.append(proc.stdout)
+    assert len(out[0]) == 50 * (36 + 36 * 14) * 8
+    assert out[0] == out[1]
 
 
 def test_fast_jacobian_matches_central_differences():
@@ -528,6 +595,21 @@ def test_optimize_result_is_recomputed_exactly():
     assert res.p_win == pytest.approx(win_prob(res.strategy), abs=1e-14)
     assert res.violation == pytest.approx(constraint_violation(res.strategy), abs=1e-14)
     assert len(res.tables) == 4
+    # the kernel that steered the search against the exact tables it reports
+    fast = fast_outcome_tables(res.strategy)
+    assert res.kernel_drift == np.max(np.abs(fast - np.asarray(res.tables)))
+    assert res.kernel_drift <= KERNEL_TOL
+
+
+def test_kernel_drift_of_infeasible_and_rotation_only_results():
+    # the drift is read off the reported restart, feasible or not
+    for cfg in (OptimizeConfig(seed=9, restarts=1, max_iters=0),
+                OptimizeConfig(seed=1, restarts=2, max_iters=200, quantum_only=True)):
+        res = optimize(cfg)
+        fast = fast_outcome_tables(res.strategy)
+        assert res.kernel_drift == np.max(np.abs(fast - np.asarray(res.tables)))
+        assert res.kernel_drift <= KERNEL_TOL
+    assert not optimize(OptimizeConfig(seed=9, restarts=1, max_iters=0)).feasible
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

@@ -97,6 +97,22 @@ def test_verify_reports_injected_fault(monkeypatch, capsys):
     assert "[pass]" in out  # only the checks that use the grade adjoint can break
 
 
+def test_verify_reports_signalling_tables(monkeypatch, capsys):
+    # moving weight between Bob's outcomes in one setting pair makes Bob's
+    # marginal depend on Alice's setting
+    kernel = chsh.fast_outcome_tables
+
+    def signalling(strat):
+        tables = kernel(strat).copy()
+        tables[1, :2] += (0.01, -0.01)
+        return tables
+
+    monkeypatch.setattr(chsh, "fast_outcome_tables", signalling)
+    assert cli.main(["verify", "--verbose"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] no signalling: each party's marginals ignore the other's setting" in out
+
+
 # -- state and transition ----------------------------------------------------------
 
 
@@ -393,7 +409,9 @@ def test_chsh_optimize_writes_no_negative_zero(tmp_path, capsys):
     out = tmp_path / "opt.json"
     argv = ["chsh-optimize", "--seed", "3", "--restarts", "2", "--max-iters", "150"]
     assert cli.main([*argv, "--json", str(out)]) == 0
-    tables = json.loads(out.read_text())["result"]["tables"]
+    result = json.loads(out.read_text())["result"]
+    assert 0.0 <= result["kernel_drift"] <= chsh.KERNEL_TOL
+    tables = result["tables"]
     entries = [x for table in tables.values() for x in table]
     assert entries.count(0.0) >= 10
     assert not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in entries)
