@@ -13,18 +13,20 @@ valid probability:
 
 Writes one CSV row per grid point and prints a coarse text map.  The closed
 form for equal angles, 1 - (p - q)^2, is checked against the graded route on
-every point; the script exits nonzero if any point disagrees.
+every point; the script exits 1 if any point disagrees, and 2 before the scan
+on invalid arguments or a CSV path the ``superqubit`` tool would refuse.
 
     python3 scripts/scan_transition_grid.py --points 41 --csv results/transition_grid.csv
 """
 
 import argparse
 import csv
+import io
 import math
-import os
 import sys
 
 from superqubit import superstate
+from superqubit.cli import _check_writable, _write
 
 
 def main(argv=None) -> int:
@@ -42,14 +44,21 @@ def main(argv=None) -> int:
     ap.add_argument("--csv", metavar="PATH", default=None,
                     help="write the grid as CSV")
     args = ap.parse_args(argv)
-    if args.points < 2:
-        print("error: need at least 2 grid points per axis", file=sys.stderr)
+    try:
+        if args.points < 2:
+            raise ValueError("need at least 2 grid points per axis")
+        for name in ("extent", "theta", "phi"):
+            if not math.isfinite(getattr(args, name)):
+                raise ValueError(f"--{name} must be a finite number")
+        if args.csv:
+            _check_writable(args.csv)
+        return _scan(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name in ("extent", "theta", "phi"):
-        if not math.isfinite(getattr(args, name)):
-            print(f"error: --{name} must be a finite number", file=sys.stderr)
-            return 2
 
+
+def _scan(args) -> int:
     n = args.points
     grid = [-args.extent + 2.0 * args.extent * k / (n - 1) for k in range(n)]
     rows = []
@@ -79,15 +88,12 @@ def main(argv=None) -> int:
         print("".join(line))
 
     if args.csv:
-        os.makedirs(os.path.dirname(args.csv) or ".", exist_ok=True)
-        with open(args.csv, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["p", "q", "transition", "in_s1", "in_s2"])
-            for p, q, t, in_s1, in_s2 in rows:
-                wr.writerow([
-                    format(p, ".17g"), format(q, ".17g"), format(t, ".17g"),
-                    int(in_s1), int(in_s2),
-                ])
+        buf = io.StringIO()
+        wr = csv.writer(buf)
+        wr.writerow(["p", "q", "transition", "in_s1", "in_s2"])
+        for p, q, t, in_s1, in_s2 in rows:
+            wr.writerow([*(format(x, ".17g") for x in (p, q, t)), int(in_s1), int(in_s2)])
+        _write(args.csv, buf.getvalue())
         print(f"wrote {args.csv} ({len(rows)} rows)")
 
     return 0 if worst < 1e-12 else 1

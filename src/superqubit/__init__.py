@@ -13,6 +13,9 @@ The package is organized in layers:
   probabilities, measurement, tensor products, compactified displacements.
 - ``chsh``: the three-outcome referee game, exact and vectorized evaluators,
   classical/quantum baselines, and the constrained multi-start optimizer.
+- ``identities``: the identities the paper's claims rest on, one function
+  each returning its worst residual over seeded draws; ``superqubit verify``
+  and the acceptance gate both run them.
 - ``cli``: the ``superqubit`` command-line tool.
 """
 

@@ -11,7 +11,6 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -21,30 +20,16 @@ import random
 import sys
 from dataclasses import asdict, fields, replace
 
-from . import chsh
-from .grassmann import (
-    Supernumber,
-    berezin,
-    inv_sqrt,
-    invert,
-    modified_rogers,
-    pair_product,
-    rogers_r1,
-)
-from .supermatrix import Supermatrix, exp_nilpotent, supertrace
+from . import chsh, identities
 from .superstate import (
     compactify,
-    grassmann_outcomes,
     grassmann_transition,
     is_physical,
     measure_real,
-    norm_supernumber,
     physical_pair,
     superqubit,
     transition_real,
-    upsilon,
 )
-from .uosp import group_element, odd_exponent, s_matrix
 
 
 # -- deterministic JSON ---------------------------------------------------------
@@ -168,218 +153,15 @@ def _report(args, payload: dict, tables=None) -> None:
 # -- verification suite ----------------------------------------------------------
 
 
-# random elements and residual measures, shared with the test suite
-
-
-def max_abs_coeff(a: Supernumber) -> float:
-    """Largest coefficient magnitude of a supernumber (0.0 for the zero element)."""
-    return max((abs(c) for c in a.terms().values()), default=0.0)
-
-
-def matrix_residual(m: Supermatrix) -> float:
-    """Largest coefficient magnitude over all entries of a supermatrix."""
-    rows, cols = m.shape
-    return max(max_abs_coeff(m[i, j]) for i in range(rows) for j in range(cols))
-
-
-def rand_supernumber(rng: random.Random, order: int, parity=None) -> Supernumber:
-    """Dense random supernumber; optionally restricted to one parity sector."""
-    terms = {}
-    for mask in range(1 << order):
-        if parity is not None and bin(mask).count("1") % 2 != parity:
-            continue
-        terms[mask] = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    return Supernumber(order, terms)
-
-
-def rand_supermatrix(rng: random.Random, row_parity, col_parity, parity, order) -> Supermatrix:
-    """Random homogeneous supermatrix consistent with the block parity rule."""
-    entries = [
-        [
-            rand_supernumber(rng, order, (row_parity[i] + col_parity[j] + parity) % 2)
-            for j in range(len(col_parity))
-        ]
-        for i in range(len(row_parity))
-    ]
-    return Supermatrix(entries, row_parity, col_parity, parity)
-
-
-def _pairing(u: Supermatrix, v: Supermatrix) -> Supernumber:
-    return (u.grade_adjoint() @ v)[0, 0]
-
-
-def _checks():
-    """Yield (name, residual, tolerance) for every verified identity."""
-    rng = random.Random(20240917)
-
-    # hash and star involutions
-    worst = 0.0
-    for order in (2, 4):
-        for _ in range(40):
-            a = rand_supernumber(rng, order)
-            b = rand_supernumber(rng, order)
-            hh = a.hash().hash()
-            expect = a.even_part() - a.odd_part()
-            worst = max(worst, max_abs_coeff(hh - expect))
-            worst = max(worst, max_abs_coeff(a.star().star() - a))
-            worst = max(worst, max_abs_coeff((a * b).hash() - a.hash() * b.hash()))
-            worst = max(worst, max_abs_coeff((a * b).star() - b.star() * a.star()))
-    yield "involutions: hash grade-involution, star involution", worst, 1e-12
-
-    # Berezin and Rogers machinery
-    worst = 0.0
-    for _ in range(50):
-        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        a = Supernumber.one(2) + pair_product(1, 2) * c
-        worst = max(worst, abs(modified_rogers(a) - (1 - c)))
-        worst = max(worst, abs(rogers_r1(a) - (1 + abs(c))))
-    x = Supernumber.generator(1, 2) * 2.5 + Supernumber.one(2)
-    worst = max(worst, max_abs_coeff(berezin(x, 1) - Supernumber.from_complex(2.5, 2)))
-    yield "Berezin integral and Rogers norms", worst, 1e-12
-
-    # exact series inverses
-    worst = 0.0
-    for _ in range(20):
-        a = rand_supernumber(rng, 4)
-        body = a.body
-        if abs(body) < 0.3:
-            a = a + Supernumber.from_complex(1.0, 4)
-        worst = max(worst, max_abs_coeff(invert(a) * a - Supernumber.one(4)))
-        pos = a.hash() * a + Supernumber.from_complex(0.5, 4)
-        pos = pos.even_part()
-        riv = inv_sqrt(pos)
-        worst = max(worst, max_abs_coeff(riv * riv * pos - Supernumber.one(4)))
-    yield "invert and inv_sqrt are exact series inverses", worst, 1e-10
-
-    # supertranspose laws
-    worst = 0.0
-    for _ in range(40):
-        rp = tuple(rng.randint(0, 1) for _ in range(3))
-        cp = tuple(rng.randint(0, 1) for _ in range(3))
-        sp, tp = rng.randint(0, 1), rng.randint(0, 1)
-        x = rand_supermatrix(rng, rp, cp, sp, 2)
-        y = rand_supermatrix(rng, cp, rp, tp, 2)
-        st4 = x.supertranspose().supertranspose().supertranspose().supertranspose()
-        worst = max(worst, matrix_residual(st4 - x))
-        lhs = (x @ y).supertranspose()
-        rhs = y.supertranspose() @ x.supertranspose()
-        if sp * tp:
-            rhs = -rhs
-        worst = max(worst, matrix_residual(lhs - rhs))
-    yield "supertranspose: order four and composition law", worst, 1e-12
-
-    # supertrace graded cyclicity and scalar rules
-    worst = 0.0
-    for _ in range(40):
-        rp = tuple(rng.randint(0, 1) for _ in range(3))
-        sp, tp = rng.randint(0, 1), rng.randint(0, 1)
-        x = rand_supermatrix(rng, rp, rp, sp, 2)
-        y = rand_supermatrix(rng, rp, rp, tp, 2)
-        lhs = supertrace(x @ y)
-        rhs = supertrace(y @ x)
-        if sp * tp:
-            rhs = -rhs
-        worst = max(worst, max_abs_coeff(lhs - rhs))
-        zeta = rand_supernumber(rng, 2, 1)
-        if sp:
-            worst = max(worst, matrix_residual(zeta * x + x * zeta))
-    yield "supertrace cyclicity; odd scalars anticommute with odd matrices", worst, 1e-12
-
-    # grade adjoint pairing
-    worst = 0.0
-    for order in (2, 4):
-        for spar in (0, 1):
-            for zpar in (0, 1):
-                for _ in range(25):
-                    rp = tuple(rng.randint(0, 1) for _ in range(3))
-                    s_mat = rand_supermatrix(rng, rp, rp, spar, order)
-                    z = Supermatrix.column(
-                        [rand_supernumber(rng, order, (p + zpar) % 2) for p in rp],
-                        rp, zpar, order=order)
-                    wpar = rng.randint(0, 1)
-                    w = Supermatrix.column(
-                        [rand_supernumber(rng, order, (p + wpar) % 2) for p in rp],
-                        rp, wpar, order=order)
-                    lhs = _pairing(s_mat @ z, w)
-                    rhs = _pairing(z, s_mat.grade_adjoint() @ w)
-                    sign = -1 if (spar * zpar) else 1
-                    worst = max(worst, max_abs_coeff(lhs - rhs * sign))
-    yield "grade adjoint moves across the pairing with (-1)^(|S||z|)", worst, 1e-12
-
-    # group structure
-    worst = 0.0
-    for _ in range(25):
-        p, q = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        worst = max(worst, matrix_residual(s_matrix(p) @ s_matrix(q) - s_matrix(p + q)))
-        eta = Supernumber.eta(1, 2)
-        worst = max(worst, matrix_residual(
-            exp_nilpotent(odd_exponent(eta * (2 * p))) - s_matrix(p)))
-        z = group_element(rng.uniform(-3, 3), rng.uniform(-3, 3), p)
-        ident = Supermatrix.identity((0, 0, 1), 2)
-        worst = max(worst, matrix_residual(z.grade_adjoint() @ z - ident))
-    yield "one-parameter subgroup, closed form, superunitarity", worst, 1e-12
-
-    # state normalization and measurement
-    worst = 0.0
-    for _ in range(25):
-        st = superqubit(rng.uniform(-1, 1), rng.uniform(-3, 3), rng.uniform(-3, 3))
-        worst = max(worst, max_abs_coeff(norm_supernumber(st) - Supernumber.one(2)))
-    ups = upsilon(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-    total = Supernumber.zero(4)
-    for t in grassmann_outcomes(ups):
-        total = total + t
-    worst = max(worst, max_abs_coeff(total - Supernumber.one(4)))
-    yield "superqubit norm 1; two-party probabilities sum to 1", worst, 1e-12
-
-    # transition probability against the closed form
-    worst = 0.0
-    for _ in range(50):
-        p, q = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        t1, f1, t2, f2 = (rng.uniform(-3, 3) for _ in range(4))
-        u = superqubit(p, t1, f1)
-        v = superqubit(q, t2, f2)
-        a, b = math.cos(t1), cmath.exp(1j * f1) * math.sin(t1)
-        c, d = math.cos(t2), cmath.exp(1j * f2) * math.sin(t2)
-        ov = a.conjugate() * c + b.conjugate() * d
-        want = (ov.conjugate() * ov).real * (1 - (p - q) ** 2)
-        worst = max(worst, abs(transition_real(u, v) - want))
-    yield "transition probability closed form", worst, 1e-12
-
-    # CHSH baselines and the vectorized evaluator
-    worst = abs(chsh.win_prob(chsh.Strategy.tsirelson()) - math.cos(math.pi / 8) ** 2)
-    worst = max(worst, abs(chsh.best_classical_win_prob() - 0.75))
-    drift = signal = 0.0
-    for _ in range(3):
-        strat = chsh.Strategy.from_vector(
-            [rng.uniform(-0.5, 0.5) for _ in range(6)]
-            + [rng.uniform(-math.pi, math.pi) for _ in range(8)])
-        ft = chsh.fast_outcome_tables(strat)
-        for k, (i, j) in enumerate(chsh.SETTINGS):
-            ex = chsh.outcome_probs(i, j, strat)
-            drift = max(drift, max(abs(ft[k][m] - ex[m]) for m in range(9)))
-        # [Alice's setting, Bob's setting, Alice's outcome, Bob's outcome]
-        ft = ft.reshape(2, 2, 3, 3)
-        alice, bob = ft.sum(axis=3), ft.sum(axis=2)
-        signal = max(signal, abs(alice[:, 0] - alice[:, 1]).max(), abs(bob[0] - bob[1]).max())
-        quantum = chsh.Strategy(alice=strat.alice, bob=strat.bob)
-        worst = max(worst, abs(chsh.win_prob(quantum) - chsh.oracle_win_prob(quantum)))
-    yield "game baselines match closed forms and the oracle", worst, 1e-10
-    yield "vectorized evaluator matches exact path", drift, chsh.KERNEL_TOL
-    yield ("no signalling: each party's marginals ignore the other's setting",
-           signal, chsh.KERNEL_TOL)
-
-
 def cmd_verify(args) -> int:
+    rng = random.Random(identities.SEED)
     failures = 0
-    for name, resid, tol in _checks():
+    for name, checks, draws, tol in identities.SUITE:
+        resid = max(check(rng, draws) for check in checks)
         ok = resid < tol
-        if not ok:
-            failures += 1
-        status = "pass" if ok else "FAIL"
-        if args.verbose:
-            print(f"[{status}] {name}  (residual {resid:.3e}, tolerance {tol:.0e})")
-        else:
-            print(f"[{status}] {name}")
+        failures += not ok
+        detail = f"  (residual {resid:.3e}, tolerance {tol:.0e})" if args.verbose else ""
+        print(f"[{'pass' if ok else 'FAIL'}] {name}{detail}")
     if failures:
         print(f"{failures} check(s) failed")
         return 1

@@ -471,10 +471,14 @@ def state_from_text(text: str) -> SuperState:
             if current is None or coeffs is None or order is None:
                 raise ValueError("term line before header/ket lines")
             gens, re_s, im_s = rest
-            mask = 0
-            if gens != "-":
-                for g in gens.split(","):
-                    mask |= 1 << (int(g) - 1)
+            idx = [] if gens == "-" else [int(g) for g in gens.split(",")]
+            # each generator once, ascending: the monomial's sign is that of this order
+            if any(not 0 < g <= order for g in idx) or idx != sorted(set(idx)):
+                raise ValueError(f"term line {ln!r} needs distinct generators "
+                                 f"in ascending order within 1..{order}")
+            mask = sum(1 << (g - 1) for g in idx)
+            if mask in coeffs[current]:
+                raise ValueError(f"term line {ln!r} repeats a monomial of its ket")
             coeffs[current][mask] = complex(float(re_s), float(im_s))
         else:
             raise ValueError(f"unrecognized record line {ln!r}")

@@ -1,18 +1,9 @@
-"""Shared helpers and hypothesis strategies for the test suite."""
+"""Hypothesis strategies shared by the test suite."""
 
 from hypothesis import strategies as st
 
-# re-exported to the test modules: `superqubit verify` draws from the same generators
-from superqubit.cli import max_abs_coeff, matrix_residual, rand_supermatrix, rand_supernumber  # noqa: F401
 from superqubit.grassmann import Supernumber
 from superqubit.supermatrix import Supermatrix
-
-
-def coefficient_gap(a: Supernumber, b: Supernumber) -> float:
-    """Largest coefficient difference of two supernumbers, compared term by
-    term (a subtraction would prune differences below PRUNE_TOL)."""
-    ta, tb = a.terms(), b.terms()
-    return max((abs(ta.get(m, 0j) - tb.get(m, 0j)) for m in ta.keys() | tb.keys()), default=0.0)
 
 
 def _finite():

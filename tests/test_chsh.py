@@ -52,10 +52,9 @@ from superqubit.chsh import (
     win_prob,
 )
 from superqubit.grassmann import Supernumber, modified_rogers
+from superqubit.identities import rand_supernumber
 from superqubit.superstate import apply_local, digits_of, grassmann_outcomes, index_of, upsilon
 from superqubit.uosp import VEC_PARITY, s_matrix, u_matrix
-
-from conftest import rand_supernumber
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 

@@ -455,3 +455,13 @@ def test_scan_transition_grid_script_rejects_non_finite_values():
         assert f"error: {flag} must be a finite number" in proc.stderr
     proc = _run_scan_script("--points", "2", "--extent", "inf")
     assert proc.returncode == 2
+
+
+def test_scan_transition_grid_script_refuses_an_unwritable_csv_path(tmp_path):
+    # the parent is a file: refused before the scan, like the CLI's output paths
+    parent = tmp_path / "file"
+    parent.write_text("")
+    proc = _run_scan_script("--points", "5", "--csv", str(parent / "out.csv"))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert proc.stdout == ""

@@ -25,8 +25,9 @@ from superqubit.grassmann import (
     rogers_r1,
     _rogers_integral,
 )
+from superqubit.identities import max_abs_coeff, rand_supernumber
 
-from conftest import max_abs_coeff, rand_supernumber, supernumbers
+from conftest import supernumbers
 
 ORDER = 4
 

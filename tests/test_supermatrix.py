@@ -13,6 +13,13 @@ from superqubit.grassmann import (
     Supernumber,
     pair_product,
 )
+from superqubit.identities import (
+    coefficient_gap,
+    matrix_residual,
+    max_abs_coeff,
+    rand_supermatrix,
+    rand_supernumber,
+)
 from superqubit.supermatrix import (
     NotNilpotent,
     Supermatrix,
@@ -21,14 +28,7 @@ from superqubit.supermatrix import (
     supertrace,
 )
 
-from conftest import (
-    coefficient_gap,
-    matrix_residual,
-    max_abs_coeff,
-    rand_supermatrix,
-    rand_supernumber,
-    supermatrices,
-)
+from conftest import supermatrices
 
 ORDER = 4
 P2 = (0, 1)

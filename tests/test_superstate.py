@@ -16,6 +16,7 @@ from superqubit.grassmann import (
     modified_rogers,
     pair_product,
 )
+from superqubit.identities import coefficient_gap, matrix_residual, max_abs_coeff, rand_supernumber
 from superqubit.supermatrix import Supermatrix, graded_kron, supertrace
 from superqubit.superstate import (
     BULLET,
@@ -45,8 +46,6 @@ from superqubit.superstate import (
     upsilon,
 )
 from superqubit.uosp import group_element, s_matrix, u_matrix
-
-from conftest import coefficient_gap, matrix_residual, max_abs_coeff, rand_supernumber
 
 ANGLES = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
 DISPLACEMENTS = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
@@ -658,5 +657,10 @@ def test_text_parser_rejects_malformed_input():
     for header in ("parties", "order", "ket"):
         with pytest.raises(ValueError, match=f"'{header}'"):
             state_from_text(f"superqubit-state v1\n{header}\nend\n")
+    # eta2 eta1 = -eta1 eta2 and eta1 eta1 = 0; "1,2" repeats a later line of ket 0
+    for gens, reason in (("2,1", "ascending"), ("1,1", "ascending"), ("0", "within"),
+                         ("1,2", "repeats")):
+        with pytest.raises(ValueError, match=reason):
+            state_from_text(text.replace("term - 0.9800665778412416 0.0", f"term {gens} 0.5 0.0"))
     with pytest.raises(ParityError):  # the odd bullet coefficient on the even ket |1>
         state_from_text(text.replace("ket *", "ket 1"))

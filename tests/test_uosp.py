@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superqubit.grassmann import Supernumber, pair_product
+from superqubit.identities import matrix_residual
 from superqubit.supermatrix import Supermatrix, exp_nilpotent
 from superqubit.uosp import (
     VEC_PARITY,
@@ -22,8 +23,6 @@ from superqubit.uosp import (
     u_matrix,
     u_matrix_from_amplitudes,
 )
-
-from conftest import matrix_residual
 
 ORDER = 4
 ANGLES = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
