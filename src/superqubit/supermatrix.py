@@ -12,9 +12,10 @@ zero matrix has either) and scalars must be homogeneous supernumbers.
 
 Results of arithmetic (@, +, entrywise maps, scalar multiples,
 supertranspose, graded_kron) are built by an internal constructor that
-trusts the grid and the parity labels; each entry of a product is one
-fused sum of products (grassmann's _sum_of_products), pruned once.  The
-public constructor always validates.
+trusts the grid and the parity labels; a product is one call of
+grassmann's matrix_product, which forms each entry as one fused sum of
+products, pruned once, on the dict loop or the pair table.  The public
+constructor always validates.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .grassmann import (
     DimensionMismatch,
     ParityError,
     Supernumber,
-    _sum_of_products,
+    matrix_product,
 )
 import numbers
 
@@ -202,12 +203,9 @@ class Supermatrix:
             raise DimensionMismatch("inner parity labels differ")
         if self.order != other.order:
             raise DimensionMismatch("algebra orders differ")
-        order = self.order
-        cols = tuple(zip(*other.entries))
-        grid = tuple(tuple(_sum_of_products(order, zip(row, col)) for col in cols)
-                     for row in self.entries)
+        grid = matrix_product(self.order, self.entries, other.entries)
         return _new(grid, self.row_parity, other.col_parity,
-                    (self.parity + other.parity) % 2, order)
+                    (self.parity + other.parity) % 2, self.order)
 
     def __eq__(self, other):
         if not isinstance(other, Supermatrix):

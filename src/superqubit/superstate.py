@@ -106,12 +106,12 @@ class SuperState:
     __slots__ = ("parties", "order", "pairs", "_right")
 
     def __init__(self, coeffs, parties: int, pairs=None, order=None):
-        pairs = _checked_pairs(parties, pairs)
         coeffs = list(coeffs)
-        if len(coeffs) != 3 ** parties:
-            raise DimensionMismatch(f"need {3 ** parties} coefficients, got {len(coeffs)}")
         if order is None:
             order = next((c.order for c in coeffs if isinstance(c, Supernumber)), 2 * parties)
+        pairs = _checked_pairs(parties, pairs, order)
+        if len(coeffs) != 3 ** parties:
+            raise DimensionMismatch(f"need {3 ** parties} coefficients, got {len(coeffs)}")
         cs = tuple(
             c if isinstance(c, Supernumber) else Supernumber.from_complex(c, order)
             for c in coeffs
@@ -133,9 +133,9 @@ class SuperState:
     @staticmethod
     def basis_state(label: str, parties: int, pairs=None, order=None) -> "SuperState":
         """|label> with coefficient 1; on an odd ket this is not a valid state."""
-        pairs = _checked_pairs(parties, pairs)
         if order is None:
             order = 2 * parties
+        pairs = _checked_pairs(parties, pairs, order)
         idx = index_of(label)
         coeffs = [Supernumber.zero(order) for _ in range(3 ** parties)]
         coeffs[idx] = Supernumber.one(order)
@@ -195,15 +195,18 @@ class SuperState:
         return _new(tuple(out), 2, self.pairs[::-1], self.order)
 
 
-def _checked_pairs(parties: int, pairs) -> tuple[int, ...]:
-    """Generator pairs of a state, one per party (default 1..parties)."""
+def _checked_pairs(parties: int, pairs, order: int) -> tuple[int, ...]:
+    """Generator pairs of a state: one per party, distinct, each a pair of
+    the algebra, 1..order/2 (default 1..parties)."""
     if parties not in (1, 2):
         raise ValueError("only 1 or 2 parties are supported")
-    if pairs is None:
-        return tuple(range(1, parties + 1))
-    pairs = tuple(int(x) for x in pairs)
+    pairs = tuple(range(1, parties + 1)) if pairs is None else tuple(int(x) for x in pairs)
     if len(pairs) != parties:
         raise ValueError("one generator pair per party")
+    if len(set(pairs)) != parties:
+        raise ValueError(f"generator pairs {pairs} repeat a pair")
+    if not all(1 <= x <= order // 2 for x in pairs):
+        raise ValueError(f"generator pairs {pairs} outside 1..{order // 2} of order {order}")
     return pairs
 
 
@@ -234,9 +237,11 @@ def _new(right, parties: int, pairs, order: int) -> SuperState:
 
 
 def superqubit(p: float, theta: float, phi: float, order: int = 2, pair: int = 1) -> SuperState:
-    """Pure superqubit S(2p eta) U(alpha, beta) |0>."""
-    z = s_matrix(p, order, pair) @ u_matrix(theta, phi, order)
-    return _new(tuple(z[i, 0] for i in range(3)), 1, (pair,), order)
+    """Pure superqubit S(2p eta) U(alpha, beta) |0>: S times U's first column."""
+    u_col = tuple(row[0] for row in u_matrix(theta, phi, order).entries)
+    s = s_matrix(p, order, pair)
+    return _new(tuple(_sum_of_products(order, zip(row, u_col)) for row in s.entries),
+                1, (pair,), order)
 
 
 def upsilon(p_a: float, p_b: float) -> SuperState:
@@ -470,6 +475,8 @@ def state_from_text(text: str) -> SuperState:
         elif key == "term":
             if current is None or coeffs is None or order is None:
                 raise ValueError("term line before header/ket lines")
+            if len(rest) != 3:
+                raise ValueError(f"term line {ln!r} needs generators, real and imaginary part")
             gens, re_s, im_s = rest
             idx = [] if gens == "-" else [int(g) for g in gens.split(",")]
             # each generator once, ascending: the monomial's sign is that of this order

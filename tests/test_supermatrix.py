@@ -1,16 +1,26 @@
 """Graded matrices: block parity layout, supertranspose, grade adjoint,
 supertrace, graded scalar action, graded Kronecker product, nilpotent exponential."""
 
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superqubit
+from superqubit import grassmann
 from superqubit.grassmann import (
+    TABLE_ORDER,
     DimensionMismatch,
     ParityError,
     Supernumber,
+    _sum_of_products,
+    _table_product,
     pair_product,
 )
 from superqubit.identities import (
@@ -147,6 +157,13 @@ def test_matmul_associative(a, b, c):
     assert matrix_residual((a @ b) @ c - a @ (b @ c)) < 1e-9
 
 
+def _thinned(rng, m: Supermatrix, keep: float) -> Supermatrix:
+    """m with each term of each entry kept with probability keep."""
+    grid = [[Supernumber(m.order, {k: c for k, c in e.terms().items() if rng.random() < keep})
+             for e in row] for row in m.entries]
+    return Supermatrix(grid, m.row_parity, m.col_parity, m.parity, order=m.order)
+
+
 @pytest.mark.parametrize("px", (0, 1))
 @pytest.mark.parametrize("py", (0, 1))
 def test_fused_matmul_matches_entrywise_sum_of_products(px, py):
@@ -161,6 +178,84 @@ def test_fused_matmul_matches_entrywise_sum_of_products(px, py):
             for t in range(3):
                 naive = naive + x[i, t] * y[t, j]
             assert coefficient_gap(prod[i, j], naive) <= 1e-14
+    # dense and sparse operands at orders 6 and 8: the pair table and the
+    # dict loop form the same monomials, with coefficients within rounding;
+    # matmul itself takes the table at order 6 alone
+    for order, keep in ((6, 1.0), (6, 0.3), (8, 1.0), (8, 0.1)):
+        x = _thinned(rng, rand_supermatrix(rng, P3, P3, px, order), keep)
+        y = _thinned(rng, rand_supermatrix(rng, P3, P2, py, order), keep)
+        table = _table_product(order, x.entries, y.entries)
+        for i in range(3):
+            for j in range(2):
+                loop = _sum_of_products(order, zip(x.entries[i], [y[t, j] for t in range(3)]))
+                assert set(table[i][j].terms()) == set(loop.terms())
+                assert coefficient_gap(table[i][j], loop) <= 1e-14 * max_abs_coeff(loop)
+    # NaN coefficients reach the monomials the dict loop forms and no others
+    x = rand_supermatrix(rng, P3, P3, px, 6)
+    x = Supermatrix([[e * math.nan for e in row] for row in x.entries], P3, P3, px)
+    y = rand_supermatrix(rng, P3, P2, py, 6)
+    prod = x @ y
+    for i in range(3):
+        for j in range(2):
+            loop = _sum_of_products(6, zip(x.entries[i], [y[t, j] for t in range(3)]))
+            assert set(prod[i, j].terms()) == set(loop.terms())
+
+
+def test_matmul_sum_that_cancels_leaves_no_term():
+    # a b + a (-b) on dense order-6 entries
+    rng = random.Random(12)
+    a, b = rand_supernumber(rng, 6, 0), rand_supernumber(rng, 6, 1)
+    x = Supermatrix([[a, a]], (0,), (0, 0), 0)
+    y = Supermatrix([[b], [-b]], (0, 0), (1,), 0)
+    assert (x @ y)[0, 0].terms() == {}
+    assert _table_product(6, x.entries, y.entries)[0][0].terms() == {}
+    # a product below the zero rule's tolerance: 1e-8 eta1 times 1e-8 eta1#
+    x = Supermatrix([[Supernumber(6, {1: 1e-8})]], (0,), (1,), 0)
+    y = Supermatrix([[Supernumber(6, {2: 1e-8})]], (1,), (0,), 0)
+    assert (x @ y)[0, 0].terms() == {}
+
+
+def test_products_outside_the_table_order_build_no_table(monkeypatch):
+    built = []
+    pair_table = grassmann._pair_table
+    monkeypatch.setattr(grassmann, "_pair_table",
+                        lambda order: built.append(order) or pair_table(order))
+    rng = random.Random(13)
+    for order, grading in ((TABLE_ORDER - 2, P3), (TABLE_ORDER, (0,)),
+                           (TABLE_ORDER + 2, (0,))):
+        x = rand_supermatrix(rng, grading, grading, 0, order)
+        y = rand_supermatrix(rng, grading, grading, 0, order)
+        prod = x @ y
+        for i, row in enumerate(x.entries):
+            for j in range(len(grading)):
+                loop = _sum_of_products(order, zip(row, [y[t, j] for t in range(len(grading))]))
+                assert coefficient_gap(prod[i, j], loop) <= 1e-14 * max_abs_coeff(loop)
+    assert built == [TABLE_ORDER]
+
+
+def test_table_product_does_not_depend_on_blas_threads():
+    # the bytes of dense order-6 products, in one process with a single
+    # OpenBLAS thread and in one with the default
+    code = (
+        "import random\n"
+        "from superqubit.identities import rand_supermatrix\n"
+        "rng = random.Random(61)\n"
+        "for par in (0, 1):\n"
+        "    x = rand_supermatrix(rng, (0, 0, 1), (0, 0, 1), par, 6)\n"
+        "    y = rand_supermatrix(rng, (0, 0, 1), (0, 1), 0, 6)\n"
+        "    print([[e.terms() for e in row] for row in (x @ y).entries])\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(superqubit.__file__).parents[1])
+    out = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              timeout=120, env={**env, **threads})
+        assert proc.returncode == 0, proc.stderr.decode()
+        out.append(proc.stdout)
+    assert out[0].count(b"j)") > 2 * 6 * 16  # every entry printed, coefficients included
+    assert out[0] == out[1]
 
 
 def test_matmul_requires_compatible_layout():

@@ -123,6 +123,15 @@ def test_coefficient_count_must_match_parties():
     one = Supernumber.one(2)
     with pytest.raises(DimensionMismatch):
         SuperState([one, one], 1)
+    # one distinct generator pair of the algebra per party
+    for label, parties, pairs, order, reason in (("0", 1, (3,), 2, "outside"),
+                                                 ("0", 1, (0,), 2, "outside"),
+                                                 ("00", 2, None, 2, "outside"),
+                                                 ("00", 2, (1, 1), 4, "repeat")):
+        with pytest.raises(ValueError, match=reason):
+            SuperState.basis_state(label, parties, pairs=pairs, order=order)
+    with pytest.raises(ValueError, match="outside"):
+        SuperState([one, one, Supernumber.eta(1, 2)], 1, pairs=(2,))
 
 
 def test_left_and_right_coefficients_flip_odd_parts():
@@ -664,3 +673,12 @@ def test_text_parser_rejects_malformed_input():
             state_from_text(text.replace("term - 0.9800665778412416 0.0", f"term {gens} 0.5 0.0"))
     with pytest.raises(ParityError):  # the odd bullet coefficient on the even ket |1>
         state_from_text(text.replace("ket *", "ket 1"))
+    for fields in ("- 1 0 0", "- 1"):
+        with pytest.raises(ValueError, match=f"'term {fields}'"):
+            state_from_text(text.replace("term - 0.9800665778412416 0.0", f"term {fields}"))
+    # order 2 has one generator pair; a two-party state needs two distinct ones
+    with pytest.raises(ValueError, match="outside"):
+        state_from_text(text.replace("pairs 1", "pairs 2"))
+    two = state_to_text(upsilon(0.2, 0.3))
+    with pytest.raises(ValueError, match="repeat"):
+        state_from_text(two.replace("pairs 1 2", "pairs 1 1"))
