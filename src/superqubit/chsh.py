@@ -3,8 +3,10 @@
 Strategies carry two state displacements, per-setting local displacements
 and SU(2) angles for both players.  Evaluation follows the exact
 Grassmann path (superstate.measure_real of the locally rotated shared
-state); the shared state and the four group elements of a strategy are
-built once for its four settings.  The optimizer uses a dense vectorized
+state); the shared state, the four group elements of a strategy and
+Bob's half of the rotation for each of his two settings are built once
+for its four settings, so a setting runs only Alice's half and the
+measurement.  The optimizer uses a dense vectorized
 evaluator built on the graded tensor factorisation CL_4 = CL_2 (x) CL_2 of
 the two players' generator pairs.  A coefficient vector is a 4x4 array
 [Bob's monomial, Alice's monomial]; an entry of Alice's group element multiplies it from
@@ -56,7 +58,15 @@ from functools import lru_cache
 import numpy as np
 
 from .grassmann import Supernumber, modified_rogers
-from .superstate import BOX_LIMIT, _OUTCOME_SIGN, apply_local, label_of, measure_real, upsilon
+from .superstate import (
+    BOX_LIMIT,
+    _OUTCOME_SIGN,
+    _alice_half,
+    _bob_half,
+    label_of,
+    measure_real,
+    upsilon,
+)
 from .supermatrix import Supermatrix
 from .uosp import VEC_PARITY, s_matrix, u_matrix, u_matrix_from_amplitudes
 
@@ -122,24 +132,27 @@ def local_rotation(displacement: float, theta: float, phi: float, pair: int) -> 
 def outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
     """Nine outcome probabilities for question pair (i, j), exact path:
     measure_real of the shared state after Alice's group element for
-    setting i and Bob's for setting j.  The shared state and the four group
-    elements of the strategy are built once and kept for the next call."""
-    state, alice, bob = _strategy_parts(np.array(strat.to_vector(), dtype=float).tobytes())
-    return measure_real(apply_local(state, alice[i], bob[j]))
+    setting i and Bob's for setting j, that is apply_local's two halves.
+    The shared state, the four group elements of the strategy and Bob's
+    half for each of his settings are built once and kept for the next
+    call."""
+    state, alice, bob, bob_halves = _strategy_parts(
+        np.array(strat.to_vector(), dtype=float).tobytes())
+    return measure_real(_alice_half(state, alice[i], bob[j].row_parity, bob_halves[j]))
 
 
 @lru_cache(maxsize=1)  # callers ask for the four settings of one strategy in a row
 def _strategy_parts(vec: bytes):
-    """(upsilon, Alice's two group elements, Bob's two) of the strategy
-    vector with these float64 bytes.  Keyed on the bytes, not on float
-    equality, so that -0.0 and 0.0 are different keys and no earlier call
-    decides what a later one returns."""
+    """(upsilon, Alice's two group elements, Bob's two, Bob's half of
+    apply_local on upsilon for each of his two) of the strategy vector with
+    these float64 bytes.  Keyed on the bytes, not on float equality, so
+    that -0.0 and 0.0 are different keys and no earlier call decides what
+    a later one returns."""
     strat = Strategy.from_vector(np.frombuffer(vec).tolist())
-    return (
-        upsilon(strat.p_a, strat.p_b),
-        tuple(local_rotation(strat.r[i], *strat.alice[i], pair=1) for i in (0, 1)),
-        tuple(local_rotation(strat.s[j], *strat.bob[j], pair=2) for j in (0, 1)),
-    )
+    state = upsilon(strat.p_a, strat.p_b)
+    alice = tuple(local_rotation(strat.r[i], *strat.alice[i], pair=1) for i in (0, 1))
+    bob = tuple(local_rotation(strat.s[j], *strat.bob[j], pair=2) for j in (0, 1))
+    return state, alice, bob, tuple(_bob_half(state, z_b) for z_b in bob)
 
 
 def win_prob(strat: Strategy) -> float:

@@ -16,9 +16,10 @@ of the algebra order, so each cache holds at most 2^MAX_ORDER entries.  The
 modified Rogers norm is a dot product with the closed form of its
 Berezin-integral definition: a product of k full conjugate pairs has weight
 (-1)^k and every other monomial weight 0, whatever the algebra order.  The
-norm of a product, rogers_of_product(a, b), is read off the two factors
-without forming it: each monomial of a meets only the monomials of b that
-complete it to a full-pair mask, listed once per (mask, order).
+norm of x hash(x), rogers_of_hash_product(x), is read off x alone without
+forming the product or hash(x): each monomial of x meets only the
+monomials whose hash images complete it to a full-pair mask, listed with
+the image's sign once per (mask, order).
 
 A matrix product (matrix_product) takes one of two paths, chosen by its
 order.  The dict loop visits every (term, term) pair of each entry's sum
@@ -392,8 +393,8 @@ TABLE_ORDER = 6
 
 
 def matrix_product(order: int, left, right) -> tuple[tuple[Supernumber, ...], ...]:
-    """The grid of sum_t left[i][t] * right[t][j] over two grids of
-    Supernumbers of one order, each entry pruned once.
+    """The grid of sum_t left[i][t] * right[t][j] over two nonempty grids
+    of Supernumbers of one order, each entry pruned once.
 
     Products of order TABLE_ORDER run on the pair table of the order;
     all others run the dict loop of _sum_of_products entry by entry.
@@ -531,41 +532,46 @@ _PAIR_WEIGHTS = {sum(3 << 2 * i for i in range(MAX_ORDER // 2) if pairs >> i & 1
                  (-1.0) ** pairs.bit_count() for pairs in range(1 << MAX_ORDER // 2)}
 
 
-def rogers_of_product(a: Supernumber, b: Supernumber) -> complex:
-    """modified_rogers(a * b) without forming the product.
+def rogers_of_hash_product(x: Supernumber) -> complex:
+    """modified_rogers(x * x.hash()) without forming the product or hash(x).
 
-    Only the full-pair monomials P of a * b carry weight, and e_ma e_mb
-    lands on P exactly when mb = P ^ ma, so the norm is the sum over the
-    monomials ma of a of w[P] * sign(ma, mb) * a[ma] * b[mb] over the
-    full-pair masks P that contain ma.  No zero rule applies to the
-    product's coefficients.  a and b must be homogeneous of one parity
-    (zero counts as even), so that the product is even.
+    Only the full-pair monomials P of x hash(x) carry weight.  hash(e_mc)
+    is sign(mc) e_mb with mb the partner mask of mc, and e_ma e_mb lands on
+    P exactly when mb = P ^ ma, so the norm is the sum over the monomials
+    ma of x of w[P] * sign(ma, mb) * sign(mc) * x[ma] * conj(x[mc]) over
+    the full-pair masks P that contain ma.  No zero rule applies to the
+    product's coefficients.  x must be homogeneous (zero counts as even);
+    either parity makes the product even.
     """
-    if a.order != b.order:
-        raise DimensionMismatch(f"orders differ: {a.order} vs {b.order}")
-    pa, pb = a.parity(), b.parity()
-    if pa is None or pa != pb:
+    if x.parity() is None:
         raise ParityError("modified Rogers norm requires an even element")
-    bt = b._terms
+    xt = x._terms
     val = 0j
-    for ma, ca in a._terms.items():
-        for mb, w in _rogers_partners(ma, a.order):
-            cb = bt.get(mb)
-            if cb is not None:
-                val += w * (ca * cb)
+    for ma, ca in xt.items():
+        for mc, w in _rogers_partners(ma, x.order):
+            c = xt.get(mc)
+            if c is not None:
+                val += w * (ca * c.conjugate())
     return val
 
 
 def _rogers_partners(mask: int, order: int) -> tuple[tuple[int, float], ...]:
-    """(mb, w[P] * sign(mask, mb)) for each full-pair mask P of the order
-    that contains mask, with mb = P ^ mask."""
+    """(mc, w[P] * sign(mask, mb) * sign(mc)) for each full-pair mask P of
+    the order that contains mask, with mb = P ^ mask and hash(e_mc) =
+    sign(mc) e_mb."""
     key = (mask, order)
     partners = _ROGERS_PARTNERS.get(key)
     if partners is None:
         sa = _above(mask)
-        partners = _ROGERS_PARTNERS[key] = tuple(
-            (p ^ mask, -w if (sa & (p ^ mask)).bit_count() & 1 else w)
-            for p, w in _PAIR_WEIGHTS.items() if p >> order == 0 and p & mask == mask)
+        partners = []
+        for p, w in _PAIR_WEIGHTS.items():
+            if p >> order == 0 and p & mask == mask:
+                mb = p ^ mask
+                mc = _partners(mb)
+                if (sa & mb).bit_count() & 1:
+                    w = -w
+                partners.append((mc, w * _hash_image(mc)[0]))
+        partners = _ROGERS_PARTNERS[key] = tuple(partners)
     return partners
 
 

@@ -203,7 +203,11 @@ class Supermatrix:
             raise DimensionMismatch("inner parity labels differ")
         if self.order != other.order:
             raise DimensionMismatch("algebra orders differ")
-        grid = matrix_product(self.order, self.entries, other.entries)
+        (n, k), m = self.shape, len(other.col_parity)
+        if n and k and m:
+            grid = matrix_product(self.order, self.entries, other.entries)
+        else:  # no entry or an empty inner sum: the labels give the shape, every entry is 0
+            grid = tuple((Supernumber.zero(self.order),) * m for _ in range(n))
         return _new(grid, self.row_parity, other.col_parity,
                     (self.parity + other.parity) % 2, self.order)
 

@@ -14,8 +14,10 @@ parity as its basis ket.  The public SuperState constructor checks this,
 as is_valid does; the internal _new, for built and computed states, does not.
 
 Local operations on two parties never form the 9x9 graded Kronecker
-product: apply_local contracts Bob's group element with his digit and
-then Alice's with hers, folding the Koszul sign into Alice's entries.
+product: apply_local is Bob's half (_bob_half, his group element
+contracted with his digit) followed by Alice's half (_alice_half, hers
+with her digit, the Koszul sign folded into her entries), so a caller
+that keeps Bob's setting can keep his half too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .grassmann import (
     Supernumber,
     _sum_of_products,
     pair_product,
-    rogers_of_product,
+    rogers_of_hash_product,
 )
 from .supermatrix import Supermatrix
 from .uosp import VEC_PARITY, s_matrix, u_matrix
@@ -306,9 +308,8 @@ def grassmann_transition(u: SuperState, v: SuperState) -> Supernumber:
 
 
 def transition_real(u: SuperState, v: SuperState) -> float:
-    """modified_rogers(grassmann_transition(u, v)), read off <u|v> and its hash."""
-    s = inner_product(u, v)
-    return rogers_of_product(s, s.hash()).real
+    """modified_rogers(grassmann_transition(u, v)), read off <u|v> alone."""
+    return rogers_of_hash_product(inner_product(u, v)).real
 
 
 def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
@@ -324,11 +325,11 @@ def grassmann_outcomes(state: SuperState) -> list[Supernumber]:
 
 def measure_real(state: SuperState) -> list[float]:
     """Real outcome probabilities via the modified Rogers norm: the norm of
-    each outcome of grassmann_outcomes, read off x_I and hash(x_I) without
-    forming their product."""
+    each outcome of grassmann_outcomes, read off x_I alone without forming
+    hash(x_I) or the product."""
     out = []
     for x, sign in zip(state._right, _OUTCOME_SIGN[state.parties]):
-        r = rogers_of_product(x, x.hash()).real
+        r = rogers_of_hash_product(x).real
         out.append(sign * r if r else 0.0)  # an empty sum stays +0.0
     return out
 
@@ -349,9 +350,7 @@ def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperS
     """Act with Z_A (x) Z_B on a two-party state.
 
     Computes graded_kron(z_a, z_b) @ column in two passes over the right
-    coordinates v[j, l]: Bob's w[j, k] = sum_l b_kl v_jl, then Alice's
-    r[i, k] = sum_j (-1)^((|i|+|j|)|k|) a_ij w[j, k], each entry one fused
-    sum of products.
+    coordinates: Bob's half, then Alice's half.
     """
     if state.parties != 2:
         raise ValueError("apply_local needs a two-party state")
@@ -363,19 +362,30 @@ def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperS
             raise DimensionMismatch("algebra orders differ")
         if z.col_parity != VEC_PARITY or len(z.row_parity) != 3:
             raise DimensionMismatch("apply_local needs 3x3 group elements on (0, 1, bullet)")
-    v = state.right_coefficients()
+    return _alice_half(state, z_a, z_b.row_parity, _bob_half(state, z_b))
+
+
+def _bob_half(state: SuperState, z_b: Supermatrix) -> list[list[Supernumber]]:
+    """w[k][j] = sum_l b_kl v_jl over the right coordinates v[j, l] of a
+    two-party state, each entry one fused sum of products; unchecked."""
+    v = state._right
     bob = z_b.entries
-    w = [[_sum_of_products(order, zip(bob[k], v[3 * j:3 * j + 3])) for j in range(3)]
-         for k in range(3)]  # w[k][j]
+    return [[_sum_of_products(state.order, zip(bob[k], v[3 * j:3 * j + 3])) for j in range(3)]
+            for k in range(3)]
+
+
+def _alice_half(state: SuperState, z_a: Supermatrix, b_row_par, w) -> SuperState:
+    """The two-party state, on the pairs and order of state, with right
+    coordinates r[i, k] = sum_j (-1)^((|i|+|j|)|k|) a_ij w[k][j], where
+    |k| = b_row_par[k]; each entry one fused sum of products, unchecked."""
     # Alice's rows, with the Koszul sign folded in for an odd Bob digit k
     a_row_par, a_col_par = z_a.row_parity, z_a.col_parity
     alice = z_a.entries
     twisted = [[-e if (a_row_par[i] + a_col_par[j]) % 2 else e for j, e in enumerate(row)]
                for i, row in enumerate(alice)]
-    b_row_par = z_b.row_parity
-    out = tuple(_sum_of_products(order, zip(twisted[i] if b_row_par[k] else alice[i], w[k]))
+    out = tuple(_sum_of_products(state.order, zip(twisted[i] if b_row_par[k] else alice[i], w[k]))
                 for i in range(3) for k in range(3))
-    return _new(out, 2, state.pairs, order)
+    return _new(out, 2, state.pairs, state.order)
 
 
 def density_matrix(state: SuperState) -> Supermatrix:

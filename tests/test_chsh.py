@@ -53,7 +53,14 @@ from superqubit.chsh import (
 )
 from superqubit.grassmann import Supernumber, modified_rogers
 from superqubit.identities import rand_supernumber
-from superqubit.superstate import apply_local, digits_of, grassmann_outcomes, index_of, upsilon
+from superqubit.superstate import (
+    apply_local,
+    digits_of,
+    grassmann_outcomes,
+    index_of,
+    measure_real,
+    upsilon,
+)
 from superqubit.uosp import VEC_PARITY, s_matrix, u_matrix
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
@@ -152,6 +159,14 @@ def test_tables_are_normalized():
             assert sum(table) == pytest.approx(1.0, abs=1e-12)
 
 
+def _from_scratch(i, j, strat):
+    """outcome_probs(i, j, strat) with every part built anew: apply_local
+    on a fresh shared state, then measure_real."""
+    za = local_rotation(strat.r[i], *strat.alice[i], pair=1)
+    zb = local_rotation(strat.s[j], *strat.bob[j], pair=2)
+    return measure_real(apply_local(upsilon(strat.p_a, strat.p_b), za, zb))
+
+
 def test_outcome_probs_keeps_no_stale_parts():
     # the parts kept between calls are keyed on the vector's bytes, so -0.0
     # and 0.0 never share them: whatever the call history, every call gives
@@ -163,17 +178,27 @@ def test_outcome_probs_keeps_no_stale_parts():
     for strat in twins:
         chsh._strategy_parts.cache_clear()
         fresh.append([repr(outcome_probs(i, j, strat)) for i, j in SETTINGS])
+    for strat, want in zip(twins, fresh):
+        assert want == [repr(_from_scratch(i, j, strat)) for i, j in SETTINGS]
     for _ in range(2):
         for strat, want in zip(twins, fresh):
             # interleaved settings and strategies
             for (i, j), table in zip(SETTINGS, want):
                 assert repr(outcome_probs(i, j, strat)) == table
                 key = np.array(strat.to_vector(), dtype=float).tobytes()
-                _, alice, bob = chsh._strategy_parts(key)
+                _, alice, bob, _ = chsh._strategy_parts(key)
                 assert repr(alice[i].entries) == repr(
                     local_rotation(strat.r[i], *strat.alice[i], pair=1).entries)
                 assert repr(bob[j].entries) == repr(
                     local_rotation(strat.s[j], *strat.bob[j], pair=2).entries)
+    # Bob's half kept per setting gives the bytes of apply_local, displaced
+    # or rotation-only (every fourth strategy)
+    for n in range(32):
+        strat = _random_strategy(rng)
+        if n % 4 == 3:
+            strat = replace(strat, p_a=0.0, p_b=0.0, r=(0.0, 0.0), s=(0.0, 0.0))
+        for i, j in SETTINGS:
+            assert repr(outcome_probs(i, j, strat)) == repr(_from_scratch(i, j, strat))
 
 
 def _marginals(tables, party):

@@ -21,7 +21,7 @@ from superqubit.grassmann import (
     invert,
     modified_rogers,
     pair_product,
-    rogers_of_product,
+    rogers_of_hash_product,
     rogers_r1,
     _rogers_integral,
 )
@@ -356,31 +356,27 @@ def test_modified_rogers_rejects_odd_terms():
 
 
 @pytest.mark.parametrize("order", (2, 4, 6))
-def test_rogers_of_product_matches_norm_of_the_product(order):
+def test_rogers_of_hash_product_matches_norm_of_the_product(order):
+    # x hash(x), the product that measurement and transitions read
     rng = random.Random(100 + order)
     for parity in (0, 1, 0, 1):
         for _ in range(5):
-            a = rand_supernumber(rng, order, parity)
-            b = rand_supernumber(rng, order, parity)
-            scale = rogers_r1(a) * rogers_r1(b)
-            assert abs(rogers_of_product(a, b) - modified_rogers(a * b)) <= 1e-14 * scale
-            # x hash(x), the product that measurement reads
-            want = modified_rogers(a * a.hash())
-            assert abs(rogers_of_product(a, a.hash()) - want) <= 1e-14 * rogers_r1(a) ** 2
-    zero = Supernumber.zero(order)
-    assert rogers_of_product(zero, zero) == 0j
+            for x in (rand_supernumber(rng, order, parity), rand_supernumber(rng, order, parity)):
+                want = modified_rogers(x * x.hash())
+                assert abs(rogers_of_hash_product(x) - want) <= 1e-14 * rogers_r1(x) ** 2
+    assert rogers_of_hash_product(Supernumber.zero(order)) == 0j
 
 
-def test_rogers_of_product_rejects_what_modified_rogers_rejects():
+def test_rogers_of_hash_product_rejects_what_modified_rogers_rejects():
     rng = random.Random(8)
     even, odd, mixed = (rand_supernumber(rng, ORDER, par) for par in (0, 1, None))
-    for a, b in ((even, odd), (odd, even), (mixed, even), (even, mixed), (mixed, mixed)):
-        with pytest.raises(ParityError):
-            modified_rogers(a * b)
-        with pytest.raises(ParityError):
-            rogers_of_product(a, b)
-    with pytest.raises(DimensionMismatch):
-        rogers_of_product(even, Supernumber.one(2))
+    with pytest.raises(ParityError):
+        modified_rogers(mixed * mixed.hash())
+    with pytest.raises(ParityError):
+        rogers_of_hash_product(mixed)
+    for x in (even, odd):  # either parity makes x hash(x) even
+        want = modified_rogers(x * x.hash())
+        assert abs(rogers_of_hash_product(x) - want) <= 1e-14 * rogers_r1(x) ** 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -265,6 +265,19 @@ def test_matmul_requires_compatible_layout():
         a @ b
 
 
+@pytest.mark.parametrize("order", (2, TABLE_ORDER))
+def test_matmul_with_an_empty_dimension_has_the_labelled_shape(order):
+    # an empty inner sum is zero: 1x0 @ 0x1 is the 1x1 zero, on the loop's
+    # order and on the table's
+    z = Supermatrix([[]], (0,), (), 0, order=order) @ Supermatrix([], (), (0,), 0, order=order)
+    assert z.shape == (1, 1) and len(z.entries) == 1 and len(z.entries[0]) == 1
+    assert z[0, 0].terms() == {} and z.order == order
+    one = Supermatrix.identity((0,), order)
+    for a, b in ((Supermatrix([], (), (0,), 0, order=order), one),  # 0x1 @ 1x1
+                 (one, Supermatrix([[]], (0,), (), 0, order=order))):  # 1x1 @ 1x0
+        assert (a @ b).entries == tuple(() for _ in a.row_parity)
+
+
 def test_matmul_identity_neutral():
     rng = random.Random(3)
     m = rand_supermatrix(rng, P3, P3, 1, ORDER)
