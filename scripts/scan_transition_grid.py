@@ -8,8 +8,11 @@ and records whether the pair sits in the regions where that number is a
 valid probability:
 
 - s1: |p - q| <= 1 and |p + q| <= 1 (transition in [0, 1]);
-- s2: both displacements individually in [-1/2, 1/2] (every strategy built
-  from them keeps all outcome probabilities in [0, 1]).
+- s2: both displacements individually in [-1/2, 1/2] (the box: every
+  one-party measurement of a state built from them has outcome
+  probabilities in [0, 1], criterion 07; the two-party CHSH tables of a
+  strategy in the box can still go negative, down to -0.12, so the search
+  holds them in [0, 1] through its constraints).
 
 Writes one CSV row per grid point and prints a coarse text map.  The closed
 form for equal angles, 1 - (p - q)^2, is checked against the graded route on

@@ -42,7 +42,15 @@ stage on that family with Bob displaced: p_a = r = 0 and p_b = 1/2 held
 fixed, s and the eight angles searched.  A second stage then releases all 14
 parameters.  The sign of either party's displacements and the exchange
 of the parties leave every table unchanged, so this family stands for its
-three mirror images.
+three mirror images.  A stage passes the kernel the number of leading
+entries it holds, and the pass computes only what the free entries can
+move: it drops the derivative rows of held entries and every coordinate
+and monomial that is zero at each point behind the held values, read off
+the zeros of the held state and of the tables (in the family stage Alice's
+monomials other than 1, in the rotation-only stage both players').  Only
+exact zeros go and no product is re-associated, so a stage's pass gives the
+full pass's tables and Jacobian bit for bit, SLSQP follows the same path,
+and a pass costs about half as much.
 
 Winning rule: outcomes 1 and bullet both announce bit 1; the players win
 when a XOR b = i AND j, each referee question pair weighted 1/4.
@@ -54,6 +62,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -373,50 +382,17 @@ def _upsilon_terms():
 _UPSILON_TERMS = _upsilon_terms()
 
 
-@lru_cache(maxsize=1)  # the first search stage holds (p_a, p_b) fixed
 def _upsilon_right(pa: float, pb: float) -> np.ndarray:
-    """Right coordinates of the shared state (real) as a read-only
-    [row, 12, 12] array indexed ((Bob digit l, beta), (Alice digit j,
-    alpha)), times (-1)^(|j| |l|): row 0 the state, rows 1 and 2 its
-    derivatives in p_A and p_B."""
+    """Right coordinates of the shared state (real) as a [row, 12, 12]
+    array indexed ((Bob digit l, beta), (Alice digit j, alpha)), times
+    (-1)^(|j| |l|): row 0 the state, rows 1 and 2 its derivatives in p_A and
+    p_B."""
     a, b = (1.0, pa, pa * pa), (1.0, pb, pb * pb)
     da, db = (0.0, 1.0, 2.0 * pa), (0.0, 1.0, 2.0 * pb)
     v = np.zeros((3, 144))
     for k, x, i, j in _UPSILON_TERMS:
         v[:, k] = x * a[i] * b[j], x * da[i] * b[j], x * a[i] * db[j]
-    v.flags.writeable = False
     return v.reshape(3, 12, 12)
-
-
-def _fast_amplitudes(vec) -> np.ndarray:
-    """Right coordinates M of the shared state after the local group
-    elements of Alice's setting I and Bob's setting J, for the strategy vec,
-    as a real array [(I, J), row, (k, beta, re, i, alpha)]: the real (re 0)
-    and imaginary (re 1) parts of the entry of ket (i, k) on monomial
-    alpha | beta << 2, times (-1)^(|i| |k|).
-
-    _local_coefficients and _upsilon_right each stack a value row on their
-    derivative rows.  M is linear in Alice's coordinates, in Bob's and in
-    the state, so row 0 of the result is M and, by the product rule, the
-    rows after it are M's derivatives along Alice's derivative rows, then
-    Bob's, then the state's."""
-    coef, state = _local_coefficients(vec[2:]), _upsilon_right(vec[0], vec[1])
-    rows = coef.shape[2]
-    # alice[I, row, (re, j, alpha), (re', i, alpha')]
-    alice = (coef[0].reshape(-1, 12) @ _ALICE).reshape(2, rows, 24, 24)
-    # Bob acts first: w[J, row, (k, beta'), (re, j, alpha)] = sum_l B_kl v_jl,
-    # every row of Bob's on the state, then Bob's value on the state's
-    # derivative rows
-    bob = (coef[1].reshape(-1, 12) @ _BOB).reshape(2, rows, 24, 12)
-    w = np.concatenate(((bob.reshape(-1, 12) @ state[0]).reshape(bob.shape),
-                        bob[:, :1] @ state[1:]), axis=1).reshape(2, -1, 12, 24)
-    # then Alice, sum_j A_ij w_kj: every row of Alice's on w's value, then
-    # Alice's value on w's derivative rows.  The real and the imaginary part
-    # of w meet their row blocks inside one product, which sums them as a
-    # complex matrix product does
-    res = (w[:, 0].reshape(24, 24) @ alice).reshape(2, rows, 2, 288).transpose(0, 2, 1, 3)
-    more = (w[:, 1:].reshape(-1, 24) @ alice[:, 0]).reshape(2, 2, -1, 288)
-    return np.concatenate((res, more), axis=2).reshape(4, -1, 288)
 
 
 # the strategy entry behind each derivative row of _fast_amplitudes at
@@ -427,18 +403,141 @@ _JACOBIAN_ENTRIES = np.array([(2 + i, 6 + 2 * i, 7 + 2 * i, 4 + j, 10 + 2 * j, 1
 _JACOBIAN_SETTINGS = np.arange(4)[:, None]
 
 
-def _fold(values: np.ndarray) -> np.ndarray:
+class _HeldTables(NamedTuple):
+    """The kernel's tables on what the points behind one held prefix can
+    move (_held_tables); "in" and "out" name the monomials a table reads and
+    writes."""
+
+    coef_ix: tuple           # each party's index of its kept [setting, row, (q, n)] in
+                             # _local_coefficients, ... for all of them
+    alice: np.ndarray        # _ALICE on those (q, n), (re, j, alpha in), (re', i, alpha out)
+    bob: np.ndarray          # _BOB on those (q, n), (k, beta out, re), (l, beta in)
+    state: np.ndarray | None  # the held state's value row on (l, beta in), (j, alpha in)
+    ka: np.ndarray           # _KA on alpha out
+    kb: np.ndarray           # _KB on beta out
+    weights: np.ndarray      # _WEIGHTS on (k, beta out, re, i, alpha out)
+    entries: np.ndarray      # the strategy entry of each kept derivative row, by setting
+
+
+@lru_cache(maxsize=4)  # one entry per search stage
+def _held_tables(prefix: bytes) -> _HeldTables:
+    """The kernel's tables for the strategy vectors whose leading entries
+    are the float64 values with these bytes, keyed like _strategy_parts.
+
+    Only terms that are exactly zero at every such point go: the derivative
+    rows of held entries, the coordinates of _local_coefficients that vanish
+    there (the p and p^2 parts of a party whose displacements are held at
+    0), and, once p_a and p_b are held, the monomials that neither the held
+    state nor a kept table reaches (alpha != 0 with p_a = 0 and r = 0,
+    beta != 0 with p_b = 0 and s = 0).  The support is read off the zeros of
+    the coordinates, of _upsilon_right and of the tables.  Every sum of the
+    pass then adds the same nonzero products in the same order as the full
+    pass (prefix b'', which keeps the module's tables themselves).  Where
+    BLAS adds a sum term by term that gives the same bits.  x86-64 OpenBLAS
+    does not add the last column of the final product, outcome
+    (bullet, bullet), term by term, so dropping zeros there can move its
+    last bits; at the search's stage prefixes that column is zero, and the
+    tables and Jacobian are the full pass's bit for bit (tests/test_chsh.py
+    pins both stages).  At other prefixes they match to rounding."""
+    lead = np.frombuffer(prefix).tolist()
+    held = len(lead)
+    # the free entries probed at 1, where sin, cos and every power are
+    # nonzero: a coordinate that is 0 there is 0 behind the whole prefix
+    probe = _local_coefficients(lead[2:] + [1.0] * (14 - max(held, 2)))
+    # a derivative row stays while its entry is free in some setting; the
+    # state's two stay until both p_a and p_b are held
+    deriv = [c for c in range(6) if _JACOBIAN_ENTRIES[:, c].max() >= held]
+    deriv += [6, 7] if held < 2 else []
+    coef_ix, cols = [], []
+    for party in (0, 1):
+        rows = [0] + [1 + c - 3 * party for c in deriv if c // 3 == party]
+        cols.append(probe[party][:, rows].any(axis=(0, 1)))
+        coef_ix.append(... if len(rows) == 4 and cols[-1].all()
+                       else (slice(None), np.array(rows)[:, None], np.flatnonzero(cols[-1])))
+    state = None
+    beta_in = alpha_in = np.ones(4, dtype=bool)
+    if held >= 2:
+        state = _upsilon_right(*lead[:2])[:1].reshape(1, 3, 4, 3, 4)  # [row, l, beta, j, alpha]
+        beta_in, alpha_in = state.any(axis=(0, 1, 3, 4)), state.any(axis=(0, 1, 2, 3))
+        state = _restricted(_restricted(state, 2, beta_in), 4, alpha_in)
+        state = state.reshape(1, 3 * beta_in.sum(), -1)
+    # [(q, n), re, j, alpha, re', i, alpha'] and [(q, n), k, beta', re, l, beta]
+    alice = _restricted(_restricted(_ALICE, 0, cols[0]).reshape(-1, 2, 3, 4, 2, 3, 4), 3, alpha_in)
+    alpha_out = alice.any(axis=(0, 1, 2, 3, 4, 5))
+    bob = _restricted(_restricted(_BOB, 0, cols[1]).reshape(-1, 3, 4, 2, 3, 4), 5, beta_in)
+    beta_out = bob.any(axis=(0, 1, 3, 4, 5))
+    weights = _WEIGHTS.reshape(3, 4, 2, 3, 4, 9)  # [k, beta, re, i, alpha, outcome]
+    weights = _restricted(_restricted(weights, 1, beta_out), 4, alpha_out)
+    return _HeldTables(
+        tuple(coef_ix),
+        _restricted(alice, 6, alpha_out).reshape(len(alice), -1),
+        _restricted(bob, 2, beta_out).reshape(len(bob), -1),
+        state,
+        _restricted(_restricted(_KA, 0, alpha_out), 1, alpha_out),
+        _restricted(_restricted(_KB, 0, beta_out), 1, beta_out),
+        weights.reshape(-1, 9),
+        _JACOBIAN_ENTRIES[:, deriv],
+    )
+
+
+def _restricted(a: np.ndarray, axis: int, keep: np.ndarray) -> np.ndarray:
+    """a on the indices that keep marks along axis; a itself, with its
+    layout, when it marks them all."""
+    return a if keep.all() else a.compress(keep, axis)
+
+
+def _fast_amplitudes(vec, kept: _HeldTables) -> np.ndarray:
+    """Right coordinates M of the shared state after the local group
+    elements of Alice's setting I and Bob's setting J, for the strategy vec,
+    as a real array [(I, J), row, (k, beta, re, i, alpha)]: the real (re 0)
+    and imaginary (re 1) parts of the entry of ket (i, k) on monomial
+    alpha | beta << 2, times (-1)^(|i| |k|), on the rows and monomials that
+    kept keeps.
+
+    _local_coefficients and _upsilon_right each stack a value row on their
+    derivative rows.  M is linear in Alice's coordinates, in Bob's and in
+    the state, so row 0 of the result is M and, by the product rule, the
+    rows after it are M's derivatives along Alice's derivative rows, then
+    Bob's, then the state's."""
+    coef = _local_coefficients(vec[2:])
+    coef_a, coef_b = (coef[party][ix] for party, ix in enumerate(kept.coef_ix))
+    state = _upsilon_right(vec[0], vec[1]) if kept.state is None else kept.state
+    # alice[I, row, (re, j, alpha), (re', i, alpha')]
+    alice = (coef_a.reshape(-1, coef_a.shape[-1]) @ kept.alice).reshape(
+        2, coef_a.shape[1], -1, 6 * len(kept.ka))
+    # Bob acts first: w[J, row, (k, beta'), (re, j, alpha)] = sum_l B_kl v_jl,
+    # every row of Bob's on the state, then Bob's value on the state's
+    # derivative rows, if it is not held
+    bob = (coef_b.reshape(-1, coef_b.shape[-1]) @ kept.bob).reshape(
+        2, coef_b.shape[1], 6 * len(kept.kb), -1)
+    w = (bob.reshape(-1, bob.shape[-1]) @ state[0]).reshape(*bob.shape[:-1], -1)
+    if len(state) > 1:
+        w = np.concatenate((w, bob[:, :1] @ state[1:]), axis=1)
+    w = w.reshape(2, -1, 3 * len(kept.kb), alice.shape[2])
+    # then Alice, sum_j A_ij w_kj: every row of Alice's on w's value, then
+    # Alice's value on w's derivative rows.  The real and the imaginary part
+    # of w meet their row blocks inside one product, which sums them as a
+    # complex matrix product does
+    res = (w[:, 0].reshape(-1, w.shape[-1]) @ alice).reshape(2, alice.shape[1], 2, -1)
+    res = res.transpose(0, 2, 1, 3)
+    more = (w[:, 1:].reshape(-1, w.shape[-1]) @ alice[:, 0]).reshape(2, 2, -1, res.shape[-1])
+    return np.concatenate((res, more), axis=2).reshape(4, -1, res.shape[-1])
+
+
+def _fold(values: np.ndarray, kept: _HeldTables) -> np.ndarray:
     """F = Kb M Ka^T of the value rows M [(I, J), (k, beta, re, i, alpha)]
     of _fast_amplitudes, as [(I, J), 1, (k, beta, re, i, alpha)]: Ka^T on
     alpha, then Kb on beta."""
-    half = (values.reshape(12, 4, 6, 4) @ _KA.T).reshape(12, 4, 24)
-    return (_KB @ half).reshape(4, 1, 288)
+    nb, na = len(kept.kb), len(kept.ka)
+    half = (values.reshape(12, nb, 6, na) @ kept.ka.T).reshape(12, nb, 6 * na)
+    return (kept.kb @ half).reshape(4, 1, -1)
 
 
-def _fast_tables(vec) -> tuple[np.ndarray, np.ndarray]:
+def _fast_tables(vec, held: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """All four 9-outcome probability tables (rows ordered 00, 01, 10, 11)
     of the 14 strategy entries vec, and their exact Jacobian
-    [(I, J), outcome, entry] in those entries.
+    [(I, J), outcome, entry] in the entries after the first held, which the
+    caller holds fixed (_held_tables).
 
     A table is (M o F) @ _WEIGHTS with F = Kb M Ka^T.  The bilinear form
     behind it is symmetric (_KA and _KB are, and the sign (-1)^(|alpha| |beta|)
@@ -447,12 +546,14 @@ def _fast_tables(vec) -> tuple[np.ndarray, np.ndarray]:
     (dM o F + M o dF) @ _WEIGHTS, is 2 (dM o F) @ _WEIGHTS.  F is needed on
     the value row alone, and one product, (M o F) @ _WEIGHTS over every row
     of every setting, gives the tables (row 0) and half the Jacobian rows
-    (rows 1 to 8)."""
-    amps = _fast_amplitudes(vec)
-    out = ((amps * _fold(amps[:, 0])).reshape(36, 288) @ _WEIGHTS).reshape(4, 9, 9)
+    (the others)."""
+    kept = _held_tables(np.array(vec[:held], dtype=float).tobytes())
+    amps = _fast_amplitudes(vec, kept)
+    out = ((amps * _fold(amps[:, 0], kept)).reshape(-1, amps.shape[-1]) @ kept.weights)
+    out = out.reshape(4, -1, 9)
     jac = np.zeros((4, 9, 14))
-    jac[_JACOBIAN_SETTINGS, :, _JACOBIAN_ENTRIES] = 2.0 * out[:, 1:]
-    return out[:, 0], jac
+    jac[_JACOBIAN_SETTINGS, :, kept.entries] = 2.0 * out[:, 1:]
+    return out[:, 0], jac[:, :, held:]
 
 
 def fast_outcome_tables(strat: Strategy) -> np.ndarray:
@@ -556,8 +657,8 @@ def _stage_problem(lead: tuple) -> dict:
 
     @lru_cache(maxsize=1)
     def evaluated(point: bytes) -> tuple[np.ndarray, np.ndarray]:
-        t, jac = _fast_tables([*lead, *np.frombuffer(point).tolist()])
-        return t.ravel(), jac.reshape(36, 14)[:, len(lead):]
+        t, jac = _fast_tables([*lead, *np.frombuffer(point).tolist()], len(lead))
+        return t.ravel(), jac.reshape(36, -1)
 
     return {
         "fun": lambda x: -_pwin_from_tables(evaluated(x.tobytes())[0]),

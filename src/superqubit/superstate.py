@@ -360,7 +360,7 @@ def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperS
     for z in (z_a, z_b):
         if z.order != order:
             raise DimensionMismatch("algebra orders differ")
-        if z.col_parity != VEC_PARITY or len(z.row_parity) != 3:
+        if z.col_parity != VEC_PARITY or z.row_parity != VEC_PARITY:
             raise DimensionMismatch("apply_local needs 3x3 group elements on (0, 1, bullet)")
     return _alice_half(state, z_a, z_b.row_parity, _bob_half(state, z_b))
 
@@ -463,6 +463,7 @@ def state_from_text(text: str) -> SuperState:
     pairs = None
     coeffs = None
     current = None
+    masks = []  # (term line, generator mask) of each term
     for ln in lines[1:]:
         if ln == "end":
             break
@@ -497,9 +498,18 @@ def state_from_text(text: str) -> SuperState:
             if mask in coeffs[current]:
                 raise ValueError(f"term line {ln!r} repeats a monomial of its ket")
             coeffs[current][mask] = complex(float(re_s), float(im_s))
+            masks.append((ln, mask))
         else:
             raise ValueError(f"unrecognized record line {ln!r}")
     if parties is None or order is None or coeffs is None:
         raise ValueError("incomplete state record")
+    # every generator of a term belongs to a declared pair; pair k holds
+    # generators 2k - 1 and 2k
+    pairs = _checked_pairs(parties, pairs, order)
+    declared = sum(3 << 2 * (k - 1) for k in pairs)
+    for ln, mask in masks:
+        if mask & ~declared:
+            raise ValueError(f"term line {ln!r} uses a generator outside the "
+                             f"record's pairs {' '.join(map(str, pairs))}")
     sns = [Supernumber(order, t) for t in coeffs]
     return SuperState(sns, parties, pairs=pairs, order=order)

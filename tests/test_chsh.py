@@ -25,6 +25,8 @@ from superqubit.chsh import (
     _KH,
     _M,
     _SIGMA,
+    _FAMILY,
+    _ROTATION_ONLY,
     _STAGES,
     BOX_LIMIT,
     KERNEL_TOL,
@@ -38,6 +40,7 @@ from superqubit.chsh import (
     _fast_amplitudes,
     _fast_tables,
     _fold,
+    _held_tables,
     _local_coefficients,
     _pwin_from_tables,
     _stage_problem,
@@ -285,8 +288,9 @@ def test_fast_amplitudes_match_apply_local():
 
     for _ in range(4):
         strat = _random_strategy(rng)
-        values = _fast_amplitudes(strat.to_vector())[:, 0]
-        fast, fold = by_ket(values), by_ket(_fold(values))
+        full = _held_tables(b"")
+        values = _fast_amplitudes(strat.to_vector(), full)[:, 0]
+        fast, fold = by_ket(values), by_ket(_fold(values, full))
         for row, (i, j) in enumerate(SETTINGS):
             za = local_rotation(strat.r[i], *strat.alice[i], pair=1)
             zb = local_rotation(strat.s[j], *strat.bob[j], pair=2)
@@ -421,6 +425,22 @@ def test_constraint_violation_flags_box_and_probability_excess():
     )
 
 
+def test_box_does_not_keep_two_party_tables_non_negative():
+    # |p| <= 1/2 keeps one-party outcome probabilities in [0, 1] (criterion
+    # 07), not the two-party tables: with Bob's state displacement and his
+    # local ones both in the box an entry reaches -0.122, and only the
+    # search's constraints t >= 0 keep its results feasible
+    strat = Strategy.from_vector([0, 0.5, 0, 0, -0.4998, -0.1901, -1.6495, -2.9427,
+                                  0.8823, 1.4319, 0.827, 3.1183, 0.6472, 1.3776])
+    assert max(abs(x) for x in strat.to_vector()[:6]) <= BOX_LIMIT
+    tables = [outcome_probs(i, j, strat) for i, j in SETTINGS]
+    worst = min(min(t) for t in tables)
+    assert worst < -0.1
+    assert worst == pytest.approx(-0.12223641793490753, abs=1e-15)
+    assert constraint_violation(strat) == -worst
+    assert np.max(np.abs(fast_outcome_tables(strat) - np.asarray(tables))) < KERNEL_TOL
+
+
 # -- baselines ---------------------------------------------------------------------
 
 
@@ -513,12 +533,13 @@ def test_fast_tables_do_not_depend_on_blas_threads():
     # OpenBLAS thread and in one with the default
     code = (
         "import sys, numpy as np\n"
-        "from superqubit.chsh import _fast_tables\n"
+        "from superqubit.chsh import _STAGES, _fast_tables\n"
         "rng = np.random.default_rng(41)\n"
         "for _ in range(50):\n"
         "    v = np.concatenate((rng.uniform(-0.5, 0.5, 6), rng.uniform(-4, 4, 8))).tolist()\n"
-        "    t, jac = _fast_tables(v)\n"
-        "    sys.stdout.buffer.write(np.ascontiguousarray(t).tobytes() + jac.tobytes())\n"
+        "    for lead in (*_STAGES[False], *_STAGES[True]):\n"
+        "        t, jac = _fast_tables([*lead, *v[len(lead):]], len(lead))\n"
+        "        sys.stdout.buffer.write(t.tobytes() + jac.tobytes())\n"
     )
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -529,8 +550,53 @@ def test_fast_tables_do_not_depend_on_blas_threads():
                               timeout=120, env={**env, **threads})
         assert proc.returncode == 0, proc.stderr.decode()
         out.append(proc.stdout)
-    assert len(out[0]) == 50 * (36 + 36 * 14) * 8
+    # the family stage's pass (10 free entries), the full-space stage's (14)
+    # and the rotation-only stage's (8)
+    assert len(out[0]) == 50 * (36 * 3 + 36 * (10 + 14 + 8)) * 8
     assert out[0] == out[1]
+
+
+def test_held_passes_are_the_full_pass_bit_for_bit():
+    # a search stage's pass computes only what its free entries can move.  It
+    # drops exact zeros alone and keeps the order of every sum, so its tables
+    # and Jacobian are the full pass's on the free entries, bit for bit, and
+    # SLSQP follows the same path; in the box, on its edges and at 0
+    rng = np.random.default_rng(43)
+    for lead in _STAGES[False] + _STAGES[True]:
+        free = max(0, 6 - len(lead))
+        for n in range(1000):
+            x = rng.uniform(-6.0, 6.0, 14 - len(lead))
+            x[:free] = (rng.uniform(-BOX_LIMIT, BOX_LIMIT, free) if n % 2
+                        else rng.choice((-BOX_LIMIT, 0.0, BOX_LIMIT), free))
+            vec = [*lead, *x.tolist()]
+            tables, jac = _fast_tables(vec)
+            held_tables, held_jac = _fast_tables(vec, len(lead))
+            assert held_tables.tobytes() == tables.tobytes()
+            assert held_jac.tobytes() == jac[:, :, len(lead):].tobytes()
+    # what the stages drop: the family keeps Alice's monomial alpha = 0
+    # alone, rotations only alpha = beta = 0, and neither keeps the rows of
+    # held entries
+    for lead, rows, width in (((), 9, 288), (_FAMILY, 6, 72), (_ROTATION_ONLY, 5, 18)):
+        vec = [*lead, *rng.uniform(-BOX_LIMIT, BOX_LIMIT, 14 - len(lead)).tolist()]
+        held = _held_tables(np.array(lead, dtype=float).tobytes())
+        assert _fast_amplitudes(vec, held).shape == (4, rows, width)
+
+
+def test_held_prefixes_drop_only_zeros():
+    # any held prefix, with zeros of either sign among its entries: the pass
+    # keeps every nonzero term.  Off the search's stages a BLAS kernel may
+    # group a shortened sum differently, so this match is to rounding
+    rng = np.random.default_rng(47)
+    for held in range(15):
+        for _ in range(20):
+            vec = np.concatenate((rng.uniform(-BOX_LIMIT, BOX_LIMIT, 6), rng.uniform(-6.0, 6.0, 8)))
+            zero = rng.random(14) < 0.5
+            vec[zero] = rng.choice((0.0, -0.0), zero.sum())
+            tables, jac = _fast_tables(vec.tolist())
+            held_tables, held_jac = _fast_tables(vec.tolist(), held)
+            assert held_jac.shape == (4, 9, 14 - held)
+            assert np.max(np.abs(held_tables - tables)) <= 1e-15
+            assert np.max(np.abs(held_jac - jac[:, :, held:]), initial=0.0) <= 1e-15
 
 
 def test_fast_jacobian_matches_central_differences():
@@ -554,9 +620,9 @@ def test_search_evaluates_every_point_through_fast_tables(monkeypatch):
     calls = []
     kernel = chsh._fast_tables
 
-    def counted(vec):
+    def counted(vec, held=0):
         calls.append(vec)
-        return kernel(vec)
+        return kernel(vec, held)
 
     monkeypatch.setattr(chsh, "_fast_tables", counted)
     res = optimize(OptimizeConfig(seed=5, restarts=1, max_iters=50))

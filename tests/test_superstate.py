@@ -525,6 +525,19 @@ def test_apply_local_rejects_odd_or_misshapen_factors():
         apply_local(ups, Supermatrix.identity((0, 1), 4), z)
 
 
+def test_apply_local_rejects_group_elements_with_other_row_labels():
+    # an even 3x3 on columns (0, 1, bullet) whose rows are labelled (0, 1, 0):
+    # the result would carry the standard kets and break the parity rule, and
+    # Bob's row labels also set the Koszul signs of Alice's half
+    ups = upsilon(0.2, 0.3)
+    z = u_matrix(0.3, 0.1, 4)
+    relabelled = Supermatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]], (0, 1, 0), (0, 0, 1), 0, order=4)
+    for z_a, z_b in ((z, relabelled), (relabelled, z)):
+        with pytest.raises(DimensionMismatch, match="group elements on"):
+            apply_local(ups, z_a, z_b)
+    assert apply_local(ups, z, z).is_valid()
+
+
 def test_density_matrix_properties():
     rng = random.Random(41)
     for _ in range(8):
@@ -682,3 +695,19 @@ def test_text_parser_rejects_malformed_input():
     two = state_to_text(upsilon(0.2, 0.3))
     with pytest.raises(ValueError, match="repeat"):
         state_from_text(two.replace("pairs 1 2", "pairs 1 1"))
+
+
+def test_text_parser_rejects_terms_outside_the_pairs_line():
+    # pair k holds generators 2k - 1 and 2k: an order-4 record of a state on
+    # pair 1 relabelled to pair 2 must not parse as a state on pair 2
+    text = state_to_text(superqubit(0.3, 0.4, 0.1, order=4, pair=1))
+    assert state_from_text(text).pairs == (1,)
+    with pytest.raises(ValueError, match=r"'term 1,2 .*' uses a generator outside the record's pairs 2$"):
+        state_from_text(text.replace("pairs 1", "pairs 2"))
+    # without a pairs line the parties take pairs 1.., which must hold the terms too
+    other = state_to_text(superqubit(0.3, 0.4, 0.1, order=4, pair=2))
+    assert state_from_text(other).pairs == (2,)
+    with pytest.raises(ValueError, match="outside the record's pairs 1$"):
+        state_from_text(other.replace("pairs 2\n", ""))
+    two = state_to_text(upsilon(0.2, 0.3))
+    assert state_from_text(two).pairs == (1, 2)
