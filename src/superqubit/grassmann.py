@@ -8,17 +8,9 @@ reordering signs reduce to bit arithmetic.
 
 Arithmetic works on the coefficient dicts directly: a sum of products
 sum_t a_t b_t (a product, one entry of a matrix product) accumulates into
-one dict, and the result is built once.  The zero rule is a rounding
-bound carried by every element: r1 bounds sum |c| and err bounds
-sum |c - c_exact|, the distance to the value exact arithmetic would give.
-A sum or a sum of products propagates its operands' bounds, adds its own
-rounding to err, then drops every coefficient with |c| <= err and adds
-what it drops to err.  So a cancellation residue goes, while a small term
-that nothing cancelled stays (the p^2/2 eta eta# term of a superqubit at
-p ~ 1e-7, which its norm needs to come out exactly one).  The public
-constructor drops |c| <= PRUNE_TOL and starts at err = EPS * r1 plus what
-it drops.  Scaling by a number cancels nothing and keeps every term (only
-exact zeros go).  The reordering sign of each factor mask and
+one dict, and the result is built once, dropping every coefficient with
+|c| <= PRUNE_TOL.  Scaling by a number cancels nothing and keeps every
+term (only exact zeros go).  The reordering sign of each factor mask and
 the hash image of each monomial are cached by mask; masks are independent
 of the algebra order, so each cache holds at most 2^MAX_ORDER entries.  The
 modified Rogers norm is a dot product with the closed form of its
@@ -37,9 +29,8 @@ instead: the 3^N disjoint mask pairs (ma, mb) with the reordering sign
 of e_ma e_mb, built once.  There the coefficients of all entries are
 gathered along the table in numpy, multiplied and summed over the inner
 index in order, and scattered onto the product masks with bincount (no
-BLAS call, so the bytes do not depend on its thread count); each entry's
-bound is summed over the inner index in the loop's order, so it passes
-the same zero rule with the same bound.  A product with a coefficient that is
+BLAS call, so the bytes do not depend on its thread count); each entry
+then passes the same zero rule.  A product with a coefficient that is
 not finite stays on the loop.
 
 Everything here is a pure function on immutable values.
@@ -49,13 +40,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from itertools import chain
 
 import numpy as np
 
 PRUNE_TOL = 1e-14
-EPS = sys.float_info.epsilon
 COMPARE_TOL = 1e-12
 MAX_ORDER = 16
 
@@ -138,13 +127,12 @@ def _bits(mask: int):
 class Supernumber:
     """Element of CL_N: sparse complex coefficients on monomial masks."""
 
-    __slots__ = ("order", "_terms", "_r1", "_err")
+    __slots__ = ("order", "_terms")
 
     def __init__(self, order: int, terms=None):
         if order < 0 or order > MAX_ORDER or order % 2:
             raise ValueError(f"order must be even and in [0, {MAX_ORDER}], got {order}")
         cleaned: dict[int, complex] = {}
-        r1 = dropped = 0.0
         if terms:
             top = 1 << order
             for mask, c in terms.items():
@@ -152,17 +140,12 @@ class Supernumber:
                     raise ValueError(f"monomial mask {mask} out of range for order {order}")
                 c = complex(c)
                 size = abs(c)
-                if size <= PRUNE_TOL:
-                    dropped += size
-                elif size < math.inf:
+                if not size <= PRUNE_TOL:  # a NaN passes the zero test
+                    if not size < math.inf:
+                        raise ValueError(f"coefficient {c!r} on mask {mask} is not finite")
                     cleaned[mask] = c
-                    r1 += size
-                else:  # a NaN fails both tests
-                    raise ValueError(f"coefficient {c!r} on mask {mask} is not finite")
-        _set_order(self, order)
-        _set_terms(self, cleaned)
-        _set_r1(self, r1)
-        _set_err(self, EPS * r1 + dropped)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_terms", cleaned)
 
     def __setattr__(self, name, value):
         raise AttributeError("Supernumber is immutable")
@@ -210,7 +193,7 @@ class Supernumber:
         return self._terms.get(0, 0j)
 
     def soul(self) -> "Supernumber":
-        return _new(self.order, {m: c for m, c in self._terms.items() if m}, self._r1, self._err)
+        return _new(self.order, {m: c for m, c in self._terms.items() if m})
 
     def parity(self) -> int | None:
         """0 for even (an element with no terms too), 1 for odd, None for mixed."""
@@ -226,12 +209,10 @@ class Supernumber:
         return all(abs(c) <= tol for c in self._terms.values())
 
     def even_part(self) -> "Supernumber":
-        return _new(self.order, {m: c for m, c in self._terms.items() if not m.bit_count() & 1},
-                    self._r1, self._err)
+        return _new(self.order, {m: c for m, c in self._terms.items() if not m.bit_count() & 1})
 
     def odd_part(self) -> "Supernumber":
-        return _new(self.order, {m: c for m, c in self._terms.items() if m.bit_count() & 1},
-                    self._r1, self._err)
+        return _new(self.order, {m: c for m, c in self._terms.items() if m.bit_count() & 1})
 
     def is_real_even(self) -> bool:
         """Even and invariant under the hash involution."""
@@ -255,13 +236,12 @@ class Supernumber:
         out = dict(self._terms)
         for m, c in other._terms.items():
             out[m] = out.get(m, 0j) + c
-        r1 = self._r1 + other._r1
-        return _pruned(self.order, out, r1, self._err + other._err + EPS * r1)
+        return _pruned(self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(self.order, {m: -c for m, c in self._terms.items()}, self._r1, self._err)
+        return _new(self.order, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -280,9 +260,7 @@ class Supernumber:
         if isinstance(other, numbers.Complex):
             # scaling cancels nothing: only exact zeros go
             z = complex(other)
-            size = abs(z)
-            return _new(self.order, {m: w for m, c in self._terms.items() if (w := c * z)},
-                        self._r1 * size, (self._err + 2 * EPS * self._r1) * size)
+            return _new(self.order, {m: w for m, c in self._terms.items() if (w := c * z)})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -319,7 +297,7 @@ class Supernumber:
         for mask, c in self._terms.items():
             sign, m2 = _hash_image(mask)
             out[m2] = c.conjugate() if sign > 0 else -c.conjugate()
-        return _new(self.order, out, self._r1, self._err)
+        return _new(self.order, out)
 
     def star(self) -> "Supernumber":
         """Star involution: order-reversing, eta_i <-> eta_i* on the paired slots."""
@@ -329,8 +307,9 @@ class Supernumber:
             # partner swap undoes one per full pair
             k = mask.bit_count()
             s2 = -1 if (k * (k - 1) // 2 + _full_pairs(mask)) & 1 else 1
-            out[_partners(mask)] = s2 * c.conjugate()  # a bijection of masks
-        return _new(self.order, out, self._r1, self._err)
+            m2 = _partners(mask)
+            out[m2] = out.get(m2, 0j) + s2 * c.conjugate()
+        return _new(self.order, out)
 
     # -- rendering ---------------------------------------------------------
 
@@ -364,51 +343,32 @@ def _fmt_complex(c: complex) -> str:
 
 _set_order = Supernumber.order.__set__
 _set_terms = Supernumber._terms.__set__
-_set_r1 = Supernumber._r1.__set__
-_set_err = Supernumber._err.__set__
 
 
-def _new(order: int, terms: dict[int, complex], r1: float, err: float) -> Supernumber:
+def _new(order: int, terms: dict[int, complex]) -> Supernumber:
     """Internal constructor for arithmetic results: the masks are in range,
-    the coefficients complex and already past the zero rule; r1 bounds
-    sum |c| and err the distance to the exact value."""
+    the coefficients complex and already past the zero rule."""
     out = object.__new__(Supernumber)
     _set_order(out, order)
     _set_terms(out, terms)
-    _set_r1(out, r1)
-    _set_err(out, err)
     return out
 
 
-def _pruned(order: int, terms: dict[int, complex], r1: float, err: float) -> Supernumber:
-    """Apply the zero rule once, to a finished result whose coefficients lie
-    within err of the exact ones and sum to at most r1 in modulus: drop
-    |c| <= err and add it to err; a NaN stays."""
-    kept = {m: c for m, c in terms.items() if not abs(c) <= err}
-    if len(kept) < len(terms):
-        err += sum(abs(c) for m, c in terms.items() if m not in kept)
-    return _new(order, kept, r1, err)
+def _pruned(order: int, terms: dict[int, complex]) -> Supernumber:
+    """Apply the zero rule (drop |c| <= PRUNE_TOL) once, to a finished result;
+    a NaN stays."""
+    return _new(order, {m: c for m, c in terms.items() if not abs(c) <= PRUNE_TOL})
 
 
 def _sum_of_products(order: int, pairs) -> Supernumber:
     """sum_t a_t * b_t over (a_t, b_t) pairs of one order, accumulated in
-    one dict and pruned once; the operands' orders are not checked.
-
-    The error bound adds each product's inherited error to the rounding
-    of a complex product and of a sum of at most k terms, k = sum_t #b_t
-    (_sum_bound, written out here as it is the hot loop).
-    """
+    one dict and pruned once; the operands' orders are not checked."""
     out: dict[int, complex] = {}
     get = out.get
-    k = 0
-    size = err = 0.0
     for a, b in pairs:
         bt = b._terms
         if not bt:
             continue
-        k += len(bt)
-        size += a._r1 * b._r1
-        err += a._err * (b._r1 + b._err) + a._r1 * b._err
         for ma, ca in a._terms.items():
             sa = _above(ma)
             for mb, cb in bt.items():
@@ -419,21 +379,7 @@ def _sum_of_products(order: int, pairs) -> Supernumber:
                     out[m] = get(m, 0j) - ca * cb
                 else:
                     out[m] = get(m, 0j) + ca * cb
-    return _pruned(order, out, size, err + (k + 2) * EPS * size)
-
-
-def _sum_bound(pairs) -> tuple[float, float]:
-    """The (r1, err) bounds _sum_of_products gives sum_t a_t * b_t, summed
-    in the same order; a pair with an empty b_t adds nothing."""
-    k = 0
-    size = err = 0.0
-    for a, b in pairs:
-        nb = len(b._terms)
-        if nb:
-            k += nb
-            size += a._r1 * b._r1
-            err += a._err * (b._r1 + b._err) + a._r1 * b._err
-    return size, err + (k + 2) * EPS * size
+    return _pruned(order, out)
 
 
 # The one order whose products run on the pair table.  The dense order-6
@@ -496,11 +442,9 @@ def _table_product(order: int, left, right):
     width = 2 << order
     index = (np.arange(0, n * m * width, width)[:, None] + slots).ravel()
     sums = np.bincount(index, acc.ravel().view(float), n * m * width).view(complex)
-    cols = tuple(zip(*right))
-    bounds = [_sum_bound(zip(row, col)) for row in left for col in cols]
     # masks no pair reached hold exact zeros: leave them out before the zero rule
-    flat = [_pruned(order, {mask: c for mask, c in enumerate(cs) if c}, *bound)
-            for cs, bound in zip(sums.reshape(n * m, -1).tolist(), bounds)]
+    flat = [_pruned(order, {mask: c for mask, c in enumerate(cs) if c})
+            for cs in sums.reshape(n * m, -1).tolist()]
     return tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n))
 
 
@@ -539,7 +483,7 @@ def berezin(a: Supernumber, g: int) -> Supernumber:
             continue
         sign = -1 if (mask & below).bit_count() & 1 else 1
         out[mask ^ bit] = sign * c
-    return _new(a.order, out, a._r1, a._err)
+    return _new(a.order, out)
 
 
 def rogers_r1(a: Supernumber) -> float:

@@ -2,8 +2,8 @@
 ``(rng, draws) -> worst residual``, with their random elements and residual
 measures.  ``superqubit verify`` runs ``SUITE``; the acceptance gate calls the
 same functions with its own seeds and draw counts.  Residuals compare
-coefficients term by term: a subtraction would drop every difference within
-its rounding bound and report 0 for a real rounding gap.
+coefficients term by term: a subtraction would drop every difference at or
+below ``PRUNE_TOL`` and report 0 for a real rounding gap.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def matrix_residual(m: Supermatrix) -> float:
 
 def coefficient_gap(a: Supernumber, b: Supernumber) -> float:
     """Largest coefficient difference of two supernumbers, compared term by
-    term (a subtraction would prune differences within its rounding bound)."""
+    term (a subtraction would prune differences below PRUNE_TOL)."""
     ta, tb = a.terms(), b.terms()
     return max((abs(ta.get(m, 0j) - tb.get(m, 0j)) for m in ta.keys() | tb.keys()), default=0.0)
 

@@ -13,14 +13,10 @@ from __future__ import annotations
 
 import math
 
-from .grassmann import (
-    COMPARE_TOL, EPS, MAX_ORDER, Supernumber, _new as _new_number, _pruned, pair_product,
-)
+from .grassmann import COMPARE_TOL, MAX_ORDER, Supernumber, _new as _new_number, _pruned
 from .supermatrix import Supermatrix, _new
 
 VEC_PARITY = (0, 0, 1)
-# the rounding bound of eta eta#, the same for every pair and order
-_PAIR_ERR = pair_product(1, 2)._err
 
 
 def generators(order: int = 2):
@@ -56,10 +52,9 @@ def s_matrix(p: float, order: int = 2, pair: int = 1) -> Supermatrix:
      [0,           1 + p^2/2 X, -p eta  ],
      [p eta,       -p eta#,     1 - p^2 X]]   with X = eta eta#.
 
-    The entries are built as coefficient dicts, with the zero rule and the
-    rounding bounds of the arithmetic that spells them out (1 + (p^2/2) X,
-    eta * p, ...): the single terms drop only exact zeros, the two sums drop
-    a p^2 coefficient only if it lies within their bound.
+    The entries are built as coefficient dicts, with the zero rule of the
+    arithmetic that spells them out: the single terms drop only exact
+    zeros, the two sums drop |c| <= PRUNE_TOL.
     """
     if order % 2 or not 0 < 2 * pair <= order <= MAX_ORDER:
         raise ValueError(f"generator pair {pair} out of range for order {order}")
@@ -67,18 +62,11 @@ def s_matrix(p: float, order: int = 2, pair: int = 1) -> Supermatrix:
     etah = eta << 1
 
     def term(mask, c):
-        size = abs(c)
-        return _new_number(order, {mask: complex(c)} if c else {}, size, 3 * EPS * size)
+        return _new_number(order, {mask: complex(c)} if c else {})
 
-    def one_plus_x(c):
-        size = abs(c)
-        r1 = 1.0 + size
-        return _pruned(order, {0: 1 + 0j, eta | etah: complex(c)},
-                       r1, EPS + (_PAIR_ERR + 2 * EPS) * size + EPS * r1)
-
-    z = _new_number(order, {}, 0.0, 0.0)
-    gamma = one_plus_x(p * p / 2.0)
-    corner = one_plus_x(-(p * p))
+    z = _new_number(order, {})
+    gamma = _pruned(order, {0: 1 + 0j, eta | etah: complex(p * p / 2.0)})
+    corner = _pruned(order, {0: 1 + 0j, eta | etah: complex(-(p * p))})
     rows = (
         (gamma, z, term(etah, -p)),
         (z, gamma, term(eta, -p)),
