@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grassmann import Supernumber, modified_rogers
+from .grassmann import Supernumber, _coefficient_array, modified_rogers
 from .superstate import (
     BOX_LIMIT,
     _OUTCOME_SIGN,
@@ -147,7 +147,7 @@ def outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
     call."""
     state, alice, bob, bob_halves = _strategy_parts(
         np.array(strat.to_vector(), dtype=float).tobytes())
-    return measure_real(_alice_half(state, alice[i], bob[j].row_parity, bob_halves[j]))
+    return measure_real(_alice_half(state, alice[i], bob_halves[j]))
 
 
 @lru_cache(maxsize=1)  # callers ask for the four settings of one strategy in a row
@@ -257,16 +257,6 @@ def oracle_win_prob(strat: Strategy) -> float:
 # with [Xr | Xi] @ [[Ar, Ai], [-Ai, Ar]] = [Re XA | Im XA].
 
 
-def _dense(entries) -> np.ndarray:
-    """Coefficients [..., monomial] of an array of supernumbers over CL_4."""
-    entries = np.asarray(entries, dtype=object)
-    out = np.zeros(entries.shape + (16,), dtype=complex)
-    for ix, c in np.ndenumerate(entries):
-        for mask, z in c.terms().items():
-            out[ix + (mask,)] = z
-    return out
-
-
 def _build_kernel_tables():
     """Structure tensor, folded hash/Rogers form and displacement tables of
     the dense evaluator, generated from the exact algebra so every sign
@@ -285,7 +275,8 @@ def _build_kernel_tables():
     # S0 + p S1 + p^2 S2, fixed by its values at p = 0, 1, -1
     powers = []
     for pair in (1, 2):
-        s0, plus, minus = (_dense(s_matrix(p, 4, pair).entries) for p in (0.0, 1.0, -1.0))
+        s0, plus, minus = (_coefficient_array(4, s_matrix(p, 4, pair).entries)
+                           for p in (0.0, 1.0, -1.0))
         powers.append(np.stack((s0, (plus - minus) / 2, (plus + minus) / 2 - s0)))
     return m, kh, np.stack(powers)
 
@@ -312,7 +303,7 @@ def _build_local_tables():
     """
     # U(alpha, beta) with alpha = cos(theta) real is linear in
     # [1, alpha, Re beta, Im beta], fixed by its values at alpha = +-1, beta = 1, i
-    plus, minus, re, im = (_dense(u_matrix_from_amplitudes(a, b, 4).entries)[..., 0]
+    plus, minus, re, im = (_coefficient_array(4, u_matrix_from_amplitudes(a, b, 4).entries)[..., 0]
                            for a, b in ((1, 0), (-1, 0), (0, 1), (0, 1j)))
     u0 = (plus + minus) / 2
     u = np.stack((u0, (plus - minus) / 2, re - u0, im - u0))
@@ -370,7 +361,8 @@ def _upsilon_terms():
     (-1)^(|j| |l|).  The state depends on p_A and p_B only through p_A eta_A
     and p_B eta_B, so the entry on monomial alpha | beta << 2 scales as
     p_A^|alpha| p_B^|beta|."""
-    one = _dense(upsilon(1.0, 1.0).right_coefficients()).reshape(3, 3, 4, 4)  # [j, l, beta, alpha]
+    one = _coefficient_array(4, [upsilon(1.0, 1.0).right_coefficients()])[0]
+    one = one.reshape(3, 3, 4, 4)  # [j, l, beta, alpha]
     assert not one.imag.any()
     one = one.real * (-1.0) ** np.outer(VEC_PARITY, VEC_PARITY)[..., None, None]
     flat = one.transpose(1, 2, 0, 3).ravel()  # [l, beta, j, alpha]

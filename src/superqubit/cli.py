@@ -1,17 +1,20 @@
 """Command-line surface: verification suite, state inspection, transition
-probabilities and CHSH evaluation/optimization with machine-readable output.
+probabilities, the transition-grid scan and CHSH evaluation/optimization
+with machine-readable output.
 
 Exit codes: 0 success, 1 check failure (failed verification, infeasible
-optimization, baseline mismatch), 2 input error, an output file that cannot
-be written included; output paths are checked before the command's work.
-JSON output formats every float with 17 significant digits so identical
-runs are byte-identical.
+optimization, baseline mismatch, a scan point off the closed form), 2 input
+error, an output file that cannot be written included; output paths are
+checked before the command's work.  JSON and CSV output format every float
+with 17 significant digits so identical runs are byte-identical; a
+non-finite float is refused rather than written as invalid JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -36,7 +39,8 @@ from .superstate import (
 
 
 def dumps(obj) -> str:
-    """Compact JSON with floats fixed to 17 significant digits."""
+    """Compact JSON with floats fixed to 17 significant digits; a NaN or an
+    infinity, which JSON cannot hold, raises ValueError."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -44,6 +48,8 @@ def dumps(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {obj!r} as JSON")
         return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
@@ -102,15 +108,23 @@ def tables_to_dict(tables) -> dict:
     }
 
 
-def tables_to_csv(tables) -> str:
-    """The four outcome tables as CSV text, one row per probability."""
+def _csv(header, rows) -> str:
+    """CSV text: the header, then one line per row, floats written with 17
+    significant digits."""
     buf = io.StringIO()
     wr = csv.writer(buf)
-    wr.writerow(["i", "j", "outcome", "probability"])
-    for k, (i, j) in enumerate(chsh.SETTINGS):
-        for m, label in enumerate(chsh.OUTCOME_LABELS):
-            wr.writerow([i, j, label, format(float(tables[k][m]), ".17g")])
+    wr.writerow(header)
+    for row in rows:
+        wr.writerow([format(x, ".17g") if isinstance(x, float) else x for x in row])
     return buf.getvalue()
+
+
+def tables_to_csv(tables) -> str:
+    """The four outcome tables as CSV text, one row per probability."""
+    return _csv(["i", "j", "outcome", "probability"],
+                ([i, j, label, float(tables[k][m])]
+                 for k, (i, j) in enumerate(chsh.SETTINGS)
+                 for m, label in enumerate(chsh.OUTCOME_LABELS)))
 
 
 def _write(path: str, text: str) -> None:
@@ -140,7 +154,10 @@ def _check_writable(path: str) -> None:
 
 def _report(args, payload: dict, tables=None) -> None:
     """The payload goes to the --json file; a CHSH command, which passes its
-    tables, also prints it and writes the tables to its --csv file."""
+    tables, also prints it and writes the tables to its --csv file.  The
+    payload is serialized only when it is printed or written."""
+    if tables is None and not args.json:
+        return
     text = dumps(payload)
     if tables is not None:
         print(text)
@@ -202,6 +219,60 @@ def cmd_transition(args) -> int:
         print("warning: displacement pair outside the physical box")
     _report(args, {"p": p, "q": q, "transition": val, "pair_in_s1": s1, "pair_in_s2": s2})
     return 0
+
+
+# -- transition-grid scan ----------------------------------------------------------
+
+
+def cmd_scan(args) -> int:
+    """Map the transition probability between displaced superqubits over (p, q).
+
+    For each pair of displacement parameters on a square grid over
+    [-extent, extent], builds the two superqubit states at the fixed angles
+    --theta and --phi, evaluates the transition probability through the
+    graded inner product and the modified Rogers norm, and records whether
+    the pair sits in the regions where that number is a valid probability:
+
+    - s1: |p - q| <= 1 and |p + q| <= 1 (transition in [0, 1]);
+    - s2: both displacements individually in [-1/2, 1/2] (the box: every
+      one-party measurement of a state built from them has outcome
+      probabilities in [0, 1], criterion 07; the two-party CHSH tables of a
+      strategy in the box can still go negative, down to -0.12, so the
+      search holds them in [0, 1] through its constraints).
+
+    Prints a coarse text map ('#' in s2, '+' in s1 only, '.' transition
+    outside [0, 1]) and, with --csv, writes one row per grid point.  The
+    closed form for equal angles, 1 - (p - q)^2, is checked against the
+    graded route on every point; exits 1 if any point disagrees.
+    """
+    n = args.points
+    if n < 2:
+        raise ValueError("need at least 2 grid points per axis")
+    for name in ("extent", "theta", "phi"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name} must be a finite number")
+    grid = [-args.extent + 2.0 * args.extent * k / (n - 1) for k in range(n)]
+    rows = []
+    worst = 0.0
+    for p in grid:
+        u = superqubit(p, args.theta, args.phi)
+        for q in grid:
+            t = transition_real(u, superqubit(q, args.theta, args.phi))
+            worst = max(worst, abs(t - (1.0 - (p - q) ** 2)))
+            in_s1, in_s2 = physical_pair(p, q)
+            rows.append((p, q, t, int(in_s1), int(in_s2)))
+
+    print(f"{n * n} grid points, p,q in [{-args.extent:g}, {args.extent:g}], "
+          f"theta={args.theta:g} phi={args.phi:g}")
+    print(f"worst deviation from 1 - (p - q)^2: {worst:.3e}")
+    step = max(1, (n - 1) // 20)
+    for i in range(0, n, step):
+        print("".join("#" if in_s2 else "+" if in_s1 else "."
+                      for *_, in_s1, in_s2 in rows[i * n:(i + 1) * n:step]))
+    if args.csv:
+        _write(args.csv, _csv(["p", "q", "transition", "in_s1", "in_s2"], rows))
+        print(f"wrote {args.csv} ({len(rows)} rows)")
+    return 0 if worst < 1e-12 else 1
 
 
 # -- CHSH commands ----------------------------------------------------------------
@@ -307,6 +378,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p_trans.add_argument(name, type=float)
     p_trans.add_argument("--json", metavar="OUT")
     p_trans.set_defaults(run=cmd_transition)
+
+    p_scan = sub.add_parser("scan", help="map the transition probability over "
+                                         "a (p, q) grid",
+                            description=inspect.cleandoc(cmd_scan.__doc__),
+                            formatter_class=argparse.RawDescriptionHelpFormatter)
+    p_scan.add_argument("--points", type=int, default=41,
+                        help="grid points per axis (default 41)")
+    p_scan.add_argument("--extent", type=float, default=1.0,
+                        help="scan p, q in [-extent, extent] (default 1.0)")
+    p_scan.add_argument("--theta", type=float, default=math.pi / 5.0,
+                        help="rotation angle used for both states")
+    p_scan.add_argument("--phi", type=float, default=0.7,
+                        help="phase angle used for both states")
+    p_scan.add_argument("--csv", metavar="PATH", help="write the grid as CSV")
+    p_scan.set_defaults(run=cmd_scan)
 
     p_eval = sub.add_parser("chsh-eval", help="evaluate a CHSH strategy file")
     p_eval.add_argument("strategy_file")

@@ -362,7 +362,7 @@ def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperS
             raise DimensionMismatch("algebra orders differ")
         if z.col_parity != VEC_PARITY or z.row_parity != VEC_PARITY:
             raise DimensionMismatch("apply_local needs 3x3 group elements on (0, 1, bullet)")
-    return _alice_half(state, z_a, z_b.row_parity, _bob_half(state, z_b))
+    return _alice_half(state, z_a, _bob_half(state, z_b))
 
 
 def _bob_half(state: SuperState, z_b: Supermatrix) -> list[list[Supernumber]]:
@@ -374,16 +374,16 @@ def _bob_half(state: SuperState, z_b: Supermatrix) -> list[list[Supernumber]]:
             for k in range(3)]
 
 
-def _alice_half(state: SuperState, z_a: Supermatrix, b_row_par, w) -> SuperState:
+def _alice_half(state: SuperState, z_a: Supermatrix, w) -> SuperState:
     """The two-party state, on the pairs and order of state, with right
-    coordinates r[i, k] = sum_j (-1)^((|i|+|j|)|k|) a_ij w[k][j], where
-    |k| = b_row_par[k]; each entry one fused sum of products, unchecked."""
+    coordinates r[i, k] = sum_j (-1)^((|i|+|j|)|k|) a_ij w[k][j], the
+    parities those of VEC_PARITY; each entry one fused sum of products,
+    unchecked."""
     # Alice's rows, with the Koszul sign folded in for an odd Bob digit k
-    a_row_par, a_col_par = z_a.row_parity, z_a.col_parity
     alice = z_a.entries
-    twisted = [[-e if (a_row_par[i] + a_col_par[j]) % 2 else e for j, e in enumerate(row)]
+    twisted = [[-e if (VEC_PARITY[i] + VEC_PARITY[j]) % 2 else e for j, e in enumerate(row)]
                for i, row in enumerate(alice)]
-    out = tuple(_sum_of_products(state.order, zip(twisted[i] if b_row_par[k] else alice[i], w[k]))
+    out = tuple(_sum_of_products(state.order, zip(twisted[i] if VEC_PARITY[k] else alice[i], w[k]))
                 for i in range(3) for k in range(3))
     return _new(out, 2, state.pairs, state.order)
 
@@ -464,12 +464,17 @@ def state_from_text(text: str) -> SuperState:
     coeffs = None
     current = None
     masks = []  # (term line, generator mask) of each term
+    header = set()  # the header keys read so far
     for ln in lines[1:]:
         if ln == "end":
             break
         key, *rest = ln.split()
         if key in ("parties", "order", "ket") and len(rest) != 1:
             raise ValueError(f"record line {ln!r} needs exactly one value")
+        if key in header:  # a second one would reset or reinterpret the terms read
+            raise ValueError(f"record line {ln!r} repeats the {key} line")
+        if key in ("parties", "order", "pairs"):
+            header.add(key)
         if key == "parties":
             parties = int(rest[0])
             if parties not in (1, 2):  # before allocating 3^parties kets

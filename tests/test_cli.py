@@ -4,13 +4,10 @@ serialization, config handling."""
 import csv
 import json
 import math
-import os
 import random
 import re
-import subprocess
-import sys
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 from superqubit import chsh, cli
@@ -18,7 +15,6 @@ from superqubit.chsh import SETTINGS, OptimizeConfig, Strategy, outcome_probs
 from superqubit.supermatrix import Supermatrix
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
-SCAN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scan_transition_grid.py"
 
 
 def _write_strategy_file(path, strat, wrapped=True):
@@ -37,6 +33,9 @@ def test_dumps_scalar_formats():
     assert cli.dumps(None) == "null"
     assert cli.dumps([1, 2.5, "x"]) == '[1,2.5,"x"]'
     assert cli.dumps({"b": 1, "a": 2}) == '{"b":1,"a":2}'  # insertion order is kept
+    for x in (math.nan, math.inf, -math.inf):  # JSON has no token for them
+        with pytest.raises(ValueError, match="non-finite"):
+            cli.dumps({"p": [0.5, x]})
 
 
 def test_dumps_floats_round_trip_exactly():
@@ -419,49 +418,79 @@ def test_chsh_optimize_writes_no_negative_zero(tmp_path, capsys):
     capsys.readouterr()
 
 
-# -- scripts -----------------------------------------------------------------------
+# -- scan --------------------------------------------------------------------------
 
 
-def _run_scan_script(*args):
-    env = dict(os.environ)
-    src = str(SCAN_SCRIPT.parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(SCAN_SCRIPT), *args],
-                          capture_output=True, text=True, timeout=120, env=env)
-
-
-def test_scan_transition_grid_script_writes_the_grid(tmp_path):
+def test_scan_writes_the_grid(tmp_path, capsys):
     out = tmp_path / "grid.csv"
-    proc = _run_scan_script("--points", "5", "--csv", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert "25 grid points" in proc.stdout
+    assert cli.main(["scan", "--points", "5", "--csv", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "25 grid points" in stdout
+    assert f"wrote {out} (25 rows)" in stdout
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["p", "q", "transition", "in_s1", "in_s2"]
     assert len(rows) == 1 + 25
 
 
-def test_scan_transition_grid_script_rejects_a_single_point():
-    proc = _run_scan_script("--points", "1")
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr
+def test_scan_rejects_a_single_point(capsys):
+    assert cli.main(["scan", "--points", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
 
 
-def test_scan_transition_grid_script_rejects_non_finite_values():
+def test_scan_rejects_non_finite_values(capsys):
     for flag in ("--extent", "--theta", "--phi"):
-        proc = _run_scan_script("--points", "2", flag, "nan")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert f"error: {flag} must be a finite number" in proc.stderr
-    proc = _run_scan_script("--points", "2", "--extent", "inf")
-    assert proc.returncode == 2
+        assert cli.main(["scan", "--points", "2", flag, "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {flag} must be a finite number" in err
+    assert cli.main(["scan", "--points", "2", "--extent", "inf"]) == 2
+    assert capsys.readouterr().out == ""
 
 
-def test_scan_transition_grid_script_refuses_an_unwritable_csv_path(tmp_path):
-    # the parent is a file: refused before the scan, like the CLI's output paths
+def test_scan_refuses_an_unwritable_csv_path(tmp_path, capsys):
+    # the parent is a file: refused before the scan, like every output path
     parent = tmp_path / "file"
     parent.write_text("")
-    proc = _run_scan_script("--points", "5", "--csv", str(parent / "out.csv"))
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr
-    assert proc.stdout == ""
+    assert cli.main(["scan", "--points", "5", "--csv", str(parent / "out.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert "error:" in err
+    assert out == ""
+
+
+def test_scan_exits_1_off_the_closed_form(monkeypatch, capsys):
+    # a graded route that drifts from 1 - (p - q)^2 fails the check, and the
+    # map is still printed
+    exact = cli.transition_real
+    monkeypatch.setattr(cli, "transition_real", lambda u, v: exact(u, v) + 1e-9)
+    assert cli.main(["scan", "--points", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "worst deviation from 1 - (p - q)^2: 1.000e-09" in out
+    assert out.splitlines()[2:] == [".+.", "+#+", ".+."]
+
+
+# -- non-finite results ------------------------------------------------------------
+
+
+def test_state_json_refuses_a_non_finite_result(tmp_path, capsys):
+    # 1e200 is a finite input whose probabilities overflow to NaN; JSON
+    # cannot hold them, so no file is written
+    out = tmp_path / "state.json"
+    assert cli.main(["state", "1e200", "0.3", "0.1", "--json", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chsh_eval_refuses_a_non_finite_result(tmp_path, capsys):
+    strat = cli.strategy_to_dict(Strategy.tsirelson())
+    strat_file = tmp_path / "big.json"
+    strat_file.write_text(json.dumps({**strat, "pA": 1e200}))
+    out = tmp_path / "eval.json"
+    with np.errstate(all="ignore"):
+        assert cli.main(["chsh-eval", str(strat_file), "--json", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert "non-finite" in err
+    assert not out.exists()

@@ -697,6 +697,15 @@ def test_text_parser_rejects_malformed_input():
         state_from_text(two.replace("pairs 1 2", "pairs 1 1"))
 
 
+def test_text_parser_rejects_a_repeated_header_line():
+    # a second parties line would drop every ket read so far, and a second
+    # order or pairs line would change the algebra of the terms already read
+    text = state_to_text(superqubit(0.3, 0.4, 0.1))
+    for line in ("parties 1", "order 2", "pairs 1"):
+        with pytest.raises(ValueError, match=f"'{line}' repeats the {line.split()[0]} line"):
+            state_from_text(text.replace("end", f"{line}\nend"))
+
+
 def test_text_parser_rejects_terms_outside_the_pairs_line():
     # pair k holds generators 2k - 1 and 2k: an order-4 record of a state on
     # pair 1 relabelled to pair 2 must not parse as a state on pair 2
