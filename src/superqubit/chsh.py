@@ -54,11 +54,13 @@ and a pass costs about half as much.
 
 Winning rule: outcomes 1 and bullet both announce bit 1; the players win
 when a XOR b = i AND j, each referee question pair weighted 1/4.
+_WIN_WEIGHTS states it once; every win probability here is scored with it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,6 +74,7 @@ from .superstate import (
     _OUTCOME_SIGN,
     _alice_half,
     _bob_half,
+    digits_of,
     label_of,
     measure_real,
     upsilon,
@@ -80,9 +83,10 @@ from .supermatrix import Supermatrix
 from .uosp import VEC_PARITY, s_matrix, u_matrix, u_matrix_from_amplitudes
 
 OUTCOME_LABELS = tuple(label_of(k, 2, ascii_bullet=True) for k in range(9))
-# outcome in {1, bullet} announces bit 1
-WIN_SAME = (0, 4, 5, 7, 8)   # 00, 11, 1*, *1, **
-WIN_DIFF = (1, 2, 3, 6)      # 01, 10, 0*, *0
+# outcome 0 announces bit 0, outcomes 1 and bullet announce bit 1
+_ANNOUNCED = tuple(tuple(min(d, 1) for d in digits_of(k, 2)) for k in range(9))
+WIN_SAME = tuple(k for k, (a, b) in enumerate(_ANNOUNCED) if a == b)  # 00, 11, 1*, *1, **
+WIN_DIFF = tuple(k for k, (a, b) in enumerate(_ANNOUNCED) if a != b)  # 01, 10, 0*, *0
 SETTINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -181,19 +185,11 @@ def constraint_violation(strat: Strategy, tables=None) -> float:
 
 
 def best_classical_win_prob() -> float:
-    """Exhaustive search over the 16 deterministic strategies."""
-    best = 0.0
-    for a0 in (0, 1):
-        for a1 in (0, 1):
-            for b0 in (0, 1):
-                for b1 in (0, 1):
-                    a = (a0, a1)
-                    b = (b0, b1)
-                    wins = sum(
-                        1 for (i, j) in SETTINGS if (a[i] ^ b[j]) == (i & j)
-                    )
-                    best = max(best, wins / 4.0)
-    return best
+    """Best score over the 16 deterministic strategies: Alice answers a[i]
+    and Bob b[j], so each table is 1 on outcome 3 a[i] + b[j]."""
+    return max(_pwin_from_tables(np.eye(9)[[3 * a[i] + b[j] for (i, j) in SETTINGS]])
+               for a in itertools.product((0, 1), repeat=2)
+               for b in itertools.product((0, 1), repeat=2))
 
 
 # -- plain complex-arithmetic reference (no Grassmann code path) ---------------
@@ -220,12 +216,7 @@ def oracle_outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
 
 
 def oracle_win_prob(strat: Strategy) -> float:
-    total = 0.0
-    for (i, j) in SETTINGS:
-        probs = oracle_outcome_probs(i, j, strat)
-        winners = WIN_DIFF if (i, j) == (1, 1) else WIN_SAME
-        total += sum(probs[k] for k in winners)
-    return 0.25 * total
+    return _pwin_from_tables([oracle_outcome_probs(i, j, strat) for (i, j) in SETTINGS])
 
 
 # -- vectorized evaluator: CL_4 = CL_2 (x) CL_2, one factor per party ---------

@@ -4,10 +4,10 @@ with machine-readable output.
 
 Exit codes: 0 success, 1 check failure (failed verification, infeasible
 optimization, baseline mismatch, a scan point off the closed form), 2 input
-error, an output file that cannot be written included; output paths are
-checked before the command's work.  JSON and CSV output format every float
-with 17 significant digits so identical runs are byte-identical; a
-non-finite float is refused rather than written as invalid JSON.
+error, an output file that cannot be written included, or a non-finite
+result; output paths are checked before the command's work, and a result is
+checked before any of it is printed or written.  JSON and CSV output format
+every float with 17 significant digits so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def dumps(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite number {obj!r} as JSON")
+            raise ValueError(f"the result holds the non-finite number {obj!r}")
         return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
@@ -152,15 +152,12 @@ def _check_writable(path: str) -> None:
     raise ValueError(f"cannot write {path}: {reason}")
 
 
-def _report(args, payload: dict, tables=None) -> None:
-    """The payload goes to the --json file; a CHSH command, which passes its
-    tables, also prints it and writes the tables to its --csv file.  The
-    payload is serialized only when it is printed or written."""
-    if tables is None and not args.json:
-        return
+def _report(args, payload: dict, lines=None, tables=None) -> None:
+    """Serialize the payload first, so that a non-finite result prints and
+    writes nothing.  Print the text lines, or the payload when a command has
+    none; write the payload to the --json file and the tables to --csv."""
     text = dumps(payload)
-    if tables is not None:
-        print(text)
+    print(text if lines is None else "\n".join(lines))
     if args.json:
         _write(args.json, text + "\n")
     if tables is not None and args.csv:
@@ -193,14 +190,15 @@ def cmd_state(args) -> int:
     p, theta, phi = map(_finite, (args.p, args.theta, args.phi))
     st = superqubit(p, theta, phi)
     probs = measure_real(st)
-    print(f"state: {st}")
-    print(f"probabilities: 0 -> {probs[0]:.12g}, 1 -> {probs[1]:.12g}, "
-          f"bullet -> {probs[2]:.12g}")
+    lines = [f"state: {st}",
+             f"probabilities: 0 -> {probs[0]:.12g}, 1 -> {probs[1]:.12g}, "
+             f"bullet -> {probs[2]:.12g}"]
     if not is_physical(p):
-        print(f"warning: displacement {p} is not physical (|p| > 1/2); "
-              f"compactified value {compactify(p):.12g}")
+        lines.append(f"warning: displacement {p} is not physical (|p| > 1/2); "
+                     f"compactified value {compactify(p):.12g}")
     _report(args, {"p": p, "theta": theta, "phi": phi, "physical": is_physical(p),
-                   "probabilities": {"0": probs[0], "1": probs[1], "bullet": probs[2]}})
+                   "probabilities": {"0": probs[0], "1": probs[1], "bullet": probs[2]}},
+            lines)
     return 0
 
 
@@ -212,12 +210,13 @@ def cmd_transition(args) -> int:
     g = grassmann_transition(u, v)
     val = transition_real(u, v)
     s1, s2 = physical_pair(p, q)
-    print(f"grassmann transition: {g}")
-    print(f"real transition probability: {val:.12g}")
-    print(f"physical (|p-q|<=1 and |p+q|<=1): {s1}; physical (|p|,|q|<=1/2): {s2}")
+    lines = [f"grassmann transition: {g}",
+             f"real transition probability: {val:.12g}",
+             f"physical (|p-q|<=1 and |p+q|<=1): {s1}; physical (|p|,|q|<=1/2): {s2}"]
     if not s2:
-        print("warning: displacement pair outside the physical box")
-    _report(args, {"p": p, "q": q, "transition": val, "pair_in_s1": s1, "pair_in_s2": s2})
+        lines.append("warning: displacement pair outside the physical box")
+    _report(args, {"p": p, "q": q, "transition": val, "pair_in_s1": s1, "pair_in_s2": s2},
+            lines)
     return 0
 
 
@@ -298,11 +297,11 @@ def cmd_chsh_eval(args) -> int:
     _report(args, {
         "strategy": strategy_to_dict(strat),
         "result": {
-            "p_win": chsh._pwin_from_tables(tables),
+            "p_win": chsh.win_prob(strat),
             "violation": chsh.constraint_violation(strat, tables),
             "tables": tables_to_dict(tables),
         },
-    }, tables)
+    }, tables=tables)
     return 0
 
 
@@ -321,7 +320,7 @@ def cmd_chsh_optimize(args) -> int:
             "best_restart": result.best_restart,
             "kernel_drift": result.kernel_drift,
         },
-    }, result.tables)
+    }, tables=result.tables)
     if not result.feasible:
         print("no feasible strategy found", file=sys.stderr)
         return 1
@@ -334,14 +333,14 @@ def cmd_baseline(args) -> int:
     quantum = chsh.win_prob(ts)
     oracle = chsh.oracle_win_prob(ts)
     target = math.cos(math.pi / 8) ** 2
-    print(f"classical optimum (16 deterministic strategies): {classical:.12g}")
-    print(f"quantum baseline, exact Grassmann path: {quantum:.17g}")
-    print(f"quantum baseline, plain complex oracle: {oracle:.17g}")
-    print(f"expected quantum value cos^2(pi/8): {target:.17g}")
     ok = bool(classical == 0.75 and abs(quantum - target) < 1e-9
               and abs(quantum - oracle) < 1e-10)
     _report(args, {"classical": classical, "quantum": quantum,
-                   "oracle": oracle, "target": target, "ok": ok})
+                   "oracle": oracle, "target": target, "ok": ok},
+            [f"classical optimum (16 deterministic strategies): {classical:.12g}",
+             f"quantum baseline, exact Grassmann path: {quantum:.17g}",
+             f"quantum baseline, plain complex oracle: {oracle:.17g}",
+             f"expected quantum value cos^2(pi/8): {target:.17g}"])
     if not ok:
         print("baseline mismatch", file=sys.stderr)
         return 1

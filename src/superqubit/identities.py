@@ -23,6 +23,7 @@ from .grassmann import (
 )
 from .supermatrix import Supermatrix, exp_nilpotent, supertrace
 from .superstate import (
+    BOX_LIMIT,
     apply_local,
     grassmann_outcomes,
     norm_supernumber,
@@ -101,10 +102,14 @@ def _angle(rng: random.Random) -> float:
     return rng.uniform(-math.pi, math.pi)
 
 
+def _displacement(rng: random.Random) -> float:
+    return rng.uniform(-BOX_LIMIT, BOX_LIMIT)
+
+
 def _strategy(rng: random.Random) -> chsh.Strategy:
     """A strategy uniform in the box: displacements in [-1/2, 1/2], any angles."""
     return chsh.Strategy.from_vector(
-        [rng.uniform(-0.5, 0.5) for _ in range(6)] + [_angle(rng) for _ in range(8)])
+        [_displacement(rng) for _ in range(6)] + [_angle(rng) for _ in range(8)])
 
 
 def _pairing(u: Supermatrix, v: Supermatrix) -> Supernumber:
@@ -239,9 +244,9 @@ def state_norm(rng, k):
 def outcome_sum(rng, k):
     """The nine two-party outcome supernumbers of a locally rotated shared
     state sum to 1, soul included."""
-    ups = upsilon(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-    za = group_element(_angle(rng), _angle(rng), rng.uniform(-0.5, 0.5), order=4, pair=1)
-    zb = group_element(_angle(rng), _angle(rng), rng.uniform(-0.5, 0.5), order=4, pair=2)
+    ups = upsilon(_displacement(rng), _displacement(rng))
+    za = group_element(_angle(rng), _angle(rng), _displacement(rng), order=4, pair=1)
+    zb = group_element(_angle(rng), _angle(rng), _displacement(rng), order=4, pair=2)
     return unit_gap(sum(grassmann_outcomes(apply_local(ups, za, zb)), Supernumber.zero(4)))
 
 

@@ -1,7 +1,13 @@
-"""Hypothesis strategies shared by the test suite."""
+"""Hypothesis strategies and helpers shared by the test suite."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import superqubit
 from superqubit.grassmann import Supernumber
 from superqubit.supermatrix import Supermatrix
 
@@ -46,3 +52,18 @@ def supermatrices(row_parity=(0, 1), col_parity=(0, 1), parity: int = 0, order: 
             parity,
         )
     )
+
+
+def run_under_blas_threads(code: str) -> tuple[bytes, bytes]:
+    """The stdout of `python -c code` in one process with a single OpenBLAS
+    thread and in one with the default; a process that fails fails the test."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(superqubit.__file__).parents[1])
+    out = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              timeout=120, env={**env, **threads})
+        assert proc.returncode == 0, proc.stderr.decode()
+        out.append(proc.stdout)
+    return out[0], out[1]

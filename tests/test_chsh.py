@@ -66,6 +66,8 @@ from superqubit.superstate import (
 )
 from superqubit.uosp import VEC_PARITY, s_matrix, u_matrix
 
+from conftest import run_under_blas_threads
+
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
 
@@ -456,6 +458,12 @@ def test_win_sets_match_bit_announcement_rule():
         a, b = bit[label[0]], bit[label[1]]
         assert (k in WIN_SAME) == (a == b)
         assert (k in WIN_DIFF) == (a != b)
+    # every scorer (exact path, kernel, search, oracle, classical enumeration)
+    # reads _WIN_WEIGHTS: 1/4 on outcome ab of setting (i, j) exactly when
+    # a XOR b = i AND j
+    want = [0.25 * ((bit[label[0]] ^ bit[label[1]]) == (i & j))
+            for (i, j) in SETTINGS for label in OUTCOME_LABELS]
+    assert _WIN_WEIGHTS.tolist() == want
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -541,15 +549,7 @@ def test_fast_tables_do_not_depend_on_blas_threads():
         "        t, jac = _fast_tables([*lead, *v[len(lead):]], len(lead))\n"
         "        sys.stdout.buffer.write(t.tobytes() + jac.tobytes())\n"
     )
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(superqubit.__file__).parents[1])
-    out = []
-    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              timeout=120, env={**env, **threads})
-        assert proc.returncode == 0, proc.stderr.decode()
-        out.append(proc.stdout)
+    out = run_under_blas_threads(code)
     # the family stage's pass (10 free entries), the full-space stage's (14)
     # and the rotation-only stage's (8)
     assert len(out[0]) == 50 * (36 * 3 + 36 * (10 + 14 + 8)) * 8

@@ -476,11 +476,23 @@ def test_scan_exits_1_off_the_closed_form(monkeypatch, capsys):
 
 def test_state_json_refuses_a_non_finite_result(tmp_path, capsys):
     # 1e200 is a finite input whose probabilities overflow to NaN; JSON
-    # cannot hold them, so no file is written
+    # cannot hold them, so nothing is printed and no file is written
     out = tmp_path / "state.json"
     assert cli.main(["state", "1e200", "0.3", "0.1", "--json", str(out)]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert "non-finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", (["state", "1e200", "0.3", "0.1"],
+                                  ["transition", "1e200", "0", "0", "0.1", "0", "0"]))
+def test_a_non_finite_result_prints_nothing(argv, capsys):
+    # the result is checked before any of it is printed, without --json too
+    assert cli.main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert "non-finite" in err
 
 
 def test_chsh_eval_refuses_a_non_finite_result(tmp_path, capsys):

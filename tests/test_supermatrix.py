@@ -2,17 +2,12 @@
 supertrace, graded scalar action, graded Kronecker product, nilpotent exponential."""
 
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import superqubit
 from superqubit import grassmann
 from superqubit.grassmann import (
     TABLE_ORDER,
@@ -38,7 +33,7 @@ from superqubit.supermatrix import (
     supertrace,
 )
 
-from conftest import supermatrices
+from conftest import run_under_blas_threads, supermatrices
 
 ORDER = 4
 P2 = (0, 1)
@@ -245,15 +240,7 @@ def test_table_product_does_not_depend_on_blas_threads():
         "    y = rand_supermatrix(rng, (0, 0, 1), (0, 1), 0, 6)\n"
         "    print([[e.terms() for e in row] for row in (x @ y).entries])\n"
     )
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(superqubit.__file__).parents[1])
-    out = []
-    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              timeout=120, env={**env, **threads})
-        assert proc.returncode == 0, proc.stderr.decode()
-        out.append(proc.stdout)
+    out = run_under_blas_threads(code)
     assert out[0].count(b"j)") > 2 * 6 * 16  # every entry printed, coefficients included
     assert out[0] == out[1]
 
