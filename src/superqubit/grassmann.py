@@ -38,6 +38,7 @@ Everything here is a pure function on immutable values.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from itertools import chain
@@ -65,6 +66,7 @@ class DomainError(ValueError):
     """Body outside the domain of the requested function (e.g. sqrt)."""
 
 
+@functools.cache
 def _above(mask: int) -> int:
     """Bit g set iff an odd number of the generators of mask lie above g.
 
@@ -72,18 +74,12 @@ def _above(mask: int) -> int:
     (disjoint) is (-1)^popcount(_above(ma) & mb): each generator of mb
     jumps over every generator of ma with a larger index.
     """
-    a = _ABOVE.get(mask)
-    if a is None:
-        a = mask >> 1  # suffix parity; masks have at most MAX_ORDER = 16 bits
-        a ^= a >> 1
-        a ^= a >> 2
-        a ^= a >> 4
-        a ^= a >> 8
-        _ABOVE[mask] = a
+    a = mask >> 1  # suffix parity; masks have at most MAX_ORDER = 16 bits
+    a ^= a >> 1
+    a ^= a >> 2
+    a ^= a >> 4
+    a ^= a >> 8
     return a
-
-
-_ABOVE: dict[int, int] = {}
 
 
 _ETA_BITS = 0x5555  # the bits of the eta_i, generator indices 2i-1
@@ -99,19 +95,14 @@ def _full_pairs(mask: int) -> int:
     return (mask & (mask >> 1) & _ETA_BITS).bit_count()
 
 
+@functools.cache
 def _hash_image(mask: int) -> tuple[int, int]:
     """(sign, mask') with hash(e_mask) = sign * e_mask'.
 
     Each eta_i# maps to -eta_i; re-sorting the mapped factors swaps the
     two generators of each full pair."""
-    image = _HASH_IMAGE.get(mask)
-    if image is None:
-        flips = ((mask >> 1) & _ETA_BITS).bit_count() + _full_pairs(mask)
-        image = _HASH_IMAGE[mask] = (-1 if flips & 1 else 1, _partners(mask))
-    return image
-
-
-_HASH_IMAGE: dict[int, tuple[int, int]] = {}
+    flips = ((mask >> 1) & _ETA_BITS).bit_count() + _full_pairs(mask)
+    return -1 if flips & 1 else 1, _partners(mask)
 
 
 def _bits(mask: int):
@@ -448,23 +439,18 @@ def _table_product(order: int, left, right):
     return tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n))
 
 
+@functools.cache
 def _pair_table(order: int) -> tuple[np.ndarray, ...]:
     """(ma, mb, sign, slots) over the 3^order disjoint pairs of masks of
     the order, ma-major: e_ma e_mb = sign e_(ma|mb), and slots holds the
     float offsets 2 (ma|mb), 2 (ma|mb) + 1 of its real and imaginary part
     in a complex array indexed by mask."""
-    table = _PAIR_TABLES.get(order)
-    if table is None:
-        top = 1 << order
-        ma, mb = np.nonzero((np.arange(top)[:, None] & np.arange(top)) == 0)
-        sign = np.array([-1.0 if (_above(a) & b).bit_count() & 1 else 1.0
-                         for a, b in zip(ma.tolist(), mb.tolist())])
-        slots = (2 * (ma | mb)[:, None] + np.arange(2)).ravel()
-        table = _PAIR_TABLES[order] = (ma, mb, sign, slots)
-    return table
-
-
-_PAIR_TABLES: dict[int, tuple[np.ndarray, ...]] = {}
+    top = 1 << order
+    ma, mb = np.nonzero((np.arange(top)[:, None] & np.arange(top)) == 0)
+    sign = np.array([-1.0 if (_above(a) & b).bit_count() & 1 else 1.0
+                     for a, b in zip(ma.tolist(), mb.tolist())])
+    slots = (2 * (ma | mb)[:, None] + np.arange(2)).ravel()
+    return ma, mb, sign, slots
 
 
 def berezin(a: Supernumber, g: int) -> Supernumber:
@@ -555,27 +541,21 @@ def rogers_of_hash_product(x: Supernumber) -> complex:
     return val
 
 
+@functools.cache
 def _rogers_partners(mask: int, order: int) -> tuple[tuple[int, float], ...]:
     """(mc, w[P] * sign(mask, mb) * sign(mc)) for each full-pair mask P of
     the order that contains mask, with mb = P ^ mask and hash(e_mc) =
     sign(mc) e_mb."""
-    key = (mask, order)
-    partners = _ROGERS_PARTNERS.get(key)
-    if partners is None:
-        sa = _above(mask)
-        partners = []
-        for p, w in _PAIR_WEIGHTS.items():
-            if p >> order == 0 and p & mask == mask:
-                mb = p ^ mask
-                mc = _partners(mb)
-                if (sa & mb).bit_count() & 1:
-                    w = -w
-                partners.append((mc, w * _hash_image(mc)[0]))
-        partners = _ROGERS_PARTNERS[key] = tuple(partners)
-    return partners
-
-
-_ROGERS_PARTNERS: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
+    sa = _above(mask)
+    partners = []
+    for p, w in _PAIR_WEIGHTS.items():
+        if p >> order == 0 and p & mask == mask:
+            mb = p ^ mask
+            mc = _partners(mb)
+            if (sa & mb).bit_count() & 1:
+                w = -w
+            partners.append((mc, w * _hash_image(mc)[0]))
+    return tuple(partners)
 
 
 def pair_product(pair: int, order: int) -> Supernumber:

@@ -42,12 +42,6 @@ def max_abs_coeff(a: Supernumber) -> float:
     return max((abs(c) for c in a.terms().values()), default=0.0)
 
 
-def matrix_residual(m: Supermatrix) -> float:
-    """Largest coefficient magnitude over all entries of a supermatrix."""
-    rows, cols = m.shape
-    return max(max_abs_coeff(m[i, j]) for i in range(rows) for j in range(cols))
-
-
 def coefficient_gap(a: Supernumber, b: Supernumber) -> float:
     """Largest coefficient difference of two supernumbers, compared term by
     term (a subtraction would prune differences below PRUNE_TOL)."""

@@ -40,9 +40,8 @@ def generators(order: int = 2):
 
 def algebra_element(xi, p: float, order: int = 2, pair: int = 1) -> Supermatrix:
     """xi_1 A1 + xi_2 A2 + xi_3 A3 + zeta Q1 + zeta# Q2 with zeta = p eta."""
-    a1, a2, a3, q1, q2 = generators(order)
-    zeta = Supernumber.eta(pair, order) * p
-    return xi[0] * a1 + xi[1] * a2 + xi[2] * a3 + zeta * q1 + zeta.hash() * q2
+    a1, a2, a3, _, _ = generators(order)
+    return xi[0] * a1 + xi[1] * a2 + xi[2] * a3 + odd_exponent(Supernumber.eta(pair, order) * p)
 
 
 def s_matrix(p: float, order: int = 2, pair: int = 1) -> Supermatrix:
@@ -103,7 +102,7 @@ def group_element(theta: float, phi: float, p: float,
 
 
 def odd_exponent(zeta: Supernumber) -> Supermatrix:
-    """zeta Q1 + zeta# Q2 for an arbitrary odd zeta (for exp-law experiments)."""
+    """zeta Q1 + zeta# Q2 for an arbitrary odd zeta: the odd part of algebra_element."""
     order = zeta.order
     _, _, _, q1, q2 = generators(order)
     return zeta * q1 + zeta.hash() * q2

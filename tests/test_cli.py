@@ -178,8 +178,11 @@ def test_transition_output_and_json(tmp_path, capsys):
 
 
 def test_state_and_transition_reject_non_finite_numbers(capsys):
+    # a value that starts with "-" but is not a plain number is read as an
+    # option unless it follows "--"
     for argv in (["state", "nan", "0", "0"], ["state", "0.1", "0", "inf"],
-                 ["transition", "inf", "0", "0", "0", "0", "0"]):
+                 ["transition", "inf", "0", "0", "0", "0", "0"],
+                 ["state", "--", "-inf", "0", "0"]):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -448,6 +451,11 @@ def test_scan_rejects_non_finite_values(capsys):
         assert f"error: {flag} must be a finite number" in err
     assert cli.main(["scan", "--points", "2", "--extent", "inf"]) == 2
     assert capsys.readouterr().out == ""
+    # "--phi -inf" would read -inf as an option: the value is joined with "="
+    assert cli.main(["scan", "--points", "2", "--phi=-inf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: --phi must be a finite number" in err
 
 
 def test_scan_refuses_an_unwritable_csv_path(tmp_path, capsys):

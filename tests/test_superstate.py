@@ -16,7 +16,7 @@ from superqubit.grassmann import (
     modified_rogers,
     pair_product,
 )
-from superqubit.identities import coefficient_gap, matrix_residual, max_abs_coeff, rand_supernumber
+from superqubit.identities import coefficient_gap, matrix_gap, rand_supernumber
 from superqubit.supermatrix import Supermatrix, graded_kron, supertrace
 from superqubit.superstate import (
     BULLET,
@@ -57,7 +57,7 @@ def _states_close(a: SuperState, b: SuperState, tol=1e-12) -> bool:
         return False
     n = 3**a.parties
     return all(
-        max_abs_coeff(a.left_coefficient(i) - b.left_coefficient(i)) < tol
+        coefficient_gap(a.left_coefficient(i), b.left_coefficient(i)) < tol
         for i in range(n)
     )
 
@@ -148,7 +148,7 @@ def test_left_and_right_coefficients_flip_odd_parts():
 def test_scalar_multiplication_and_equality():
     s = superqubit(0.2, 0.3, 0.4)
     t = s * 2.0
-    assert max_abs_coeff(t.left_coefficient(0) - 2 * s.left_coefficient(0)) < 1e-15
+    assert coefficient_gap(t.left_coefficient(0), 2 * s.left_coefficient(0)) < 1e-15
     assert s == superqubit(0.2, 0.3, 0.4)
     assert s != t
     with pytest.raises(ParityError):  # an odd factor makes an odd vector, not a state
@@ -167,11 +167,11 @@ def test_superqubit_pinned_coefficients():
     eta_h = Supernumber.eta_hash(1, 2)
     x = pair_product(1, 2)
     gamma = Supernumber.one(2) + (p * p / 2) * x
-    assert max_abs_coeff(s.left_coefficient("0") - alpha * gamma) < 1e-15
-    assert max_abs_coeff(s.left_coefficient("1") - beta * gamma) < 1e-15
+    assert coefficient_gap(s.left_coefficient("0"), alpha * gamma) < 1e-15
+    assert coefficient_gap(s.left_coefficient("1"), beta * gamma) < 1e-15
     want = p * (alpha * eta - beta * eta_h)
-    assert max_abs_coeff(s.right_coefficient(BULLET) - want) < 1e-15
-    assert max_abs_coeff(s.left_coefficient(BULLET) + want) < 1e-15
+    assert coefficient_gap(s.right_coefficient(BULLET), want) < 1e-15
+    assert coefficient_gap(s.left_coefficient(BULLET), -want) < 1e-15
 
 
 def test_superqubit_equals_group_action_on_vacuum():
@@ -265,7 +265,7 @@ def test_inner_product_conjugate_symmetry():
         v = superqubit(rng.uniform(-1, 1), rng.uniform(-3, 3), rng.uniform(-3, 3))
         lhs = inner_product(u, v)
         rhs = inner_product(v, u).hash()
-        assert max_abs_coeff(lhs - rhs) < 1e-13
+        assert coefficient_gap(lhs, rhs) < 1e-13
 
 
 def test_inner_product_requires_matching_shape():
@@ -282,7 +282,7 @@ def test_transition_pinned_example():
     u = superqubit(0.3, 0.0, 0.0)
     v = superqubit(0.1, 0.0, 0.0)
     g = grassmann_transition(u, v)
-    assert max_abs_coeff(g - (1 + 0.04 * pair_product(1, 2))) < 1e-15
+    assert coefficient_gap(g, 1 + 0.04 * pair_product(1, 2)) < 1e-15
     assert transition_real(u, v) == pytest.approx(0.96, abs=1e-15)
 
 
@@ -321,7 +321,7 @@ def test_transition_factorizes_for_product_displacements():
         pa, pb, qa, qb = (rng.uniform(-1, 1) for _ in range(4))
         g = grassmann_transition(upsilon(pa, pb), upsilon(qa, qb))
         want = (one + (pa - qa) ** 2 * xa) * (one + (pb - qb) ** 2 * xb)
-        assert max_abs_coeff(g - want) < 1e-13
+        assert coefficient_gap(g, want) < 1e-13
         val = transition_real(upsilon(pa, pb), upsilon(qa, qb))
         assert val == pytest.approx(
             (1 - (pa - qa) ** 2) * (1 - (pb - qb) ** 2), abs=1e-13
@@ -341,12 +341,12 @@ def test_upsilon_pinned_coefficients():
     gamma_a = Supernumber.one(order) + (pa * pa / 2) * xa
     gamma_b = Supernumber.one(order) + (pb * pb / 2) * xb
     diag = inv * (gamma_a * gamma_b)
-    assert max_abs_coeff(ups.left_coefficient("00") - diag) < 1e-15
-    assert max_abs_coeff(ups.left_coefficient("11") - diag) < 1e-15
-    assert max_abs_coeff(ups.left_coefficient("1*") - pb * (eta_b * gamma_a)) < 1e-15
-    assert max_abs_coeff(ups.left_coefficient("*1") - pa * (eta_a * gamma_b)) < 1e-15
-    assert max_abs_coeff(
-        ups.left_coefficient("**") + (pa * pb) * (eta_a * eta_b)
+    assert coefficient_gap(ups.left_coefficient("00"), diag) < 1e-15
+    assert coefficient_gap(ups.left_coefficient("11"), diag) < 1e-15
+    assert coefficient_gap(ups.left_coefficient("1*"), pb * (eta_b * gamma_a)) < 1e-15
+    assert coefficient_gap(ups.left_coefficient("*1"), pa * (eta_a * gamma_b)) < 1e-15
+    assert coefficient_gap(
+        ups.left_coefficient("**"), -((pa * pb) * (eta_a * eta_b))
     ) < 1e-15
     for label in ("01", "10", "0*", "*0"):
         assert ups.left_coefficient(label).is_zero()
@@ -417,16 +417,16 @@ def test_tensor_pinned_coefficients():
     t = tensor(a, b)
     # even x even: plain product of the left coefficients
     want = a.left_coefficient("0") * b.left_coefficient("1")
-    assert max_abs_coeff(t.left_coefficient("01") - want) < 1e-14
+    assert coefficient_gap(t.left_coefficient("01"), want) < 1e-14
     # odd second factor: the first factor's odd part flips sign when pulled left
     am = a.left_coefficient("1")
     flip = am.even_part() - am.odd_part()
     want = flip * b.left_coefficient(BULLET)
-    assert max_abs_coeff(t.left_coefficient("1*") - want) < 1e-14
+    assert coefficient_gap(t.left_coefficient("1*"), want) < 1e-14
     bb = b.left_coefficient(BULLET)
     aa = a.left_coefficient(BULLET)
     flip = aa.even_part() - aa.odd_part()
-    assert max_abs_coeff(t.left_coefficient("**") - flip * bb) < 1e-14
+    assert coefficient_gap(t.left_coefficient("**"), flip * bb) < 1e-14
 
 
 def test_tensor_requires_disjoint_pairs():
@@ -452,7 +452,7 @@ def test_tensor_inner_product_factorizes():
         d = superqubit(rng.uniform(-1, 1), rng.uniform(-3, 3), rng.uniform(-3, 3), order=4, pair=2)
         lhs = inner_product(tensor(a, b), tensor(c, d))
         rhs = inner_product(a, c) * inner_product(b, d)
-        assert max_abs_coeff(lhs - rhs) < 1e-12
+        assert coefficient_gap(lhs, rhs) < 1e-12
 
 
 def test_swap_parties_of_tensor_product():
@@ -547,7 +547,7 @@ def test_density_matrix_properties():
         tr = supertrace(rho)
         assert set(tr.terms()) <= {0}
         assert abs(tr.body - 1) < 1e-13
-        assert matrix_residual(rho.grade_adjoint() - rho) < 1e-13
+        assert matrix_gap(rho.grade_adjoint(), rho) < 1e-13
 
 
 def test_density_matrix_pinned_displaced_vacuum():
@@ -557,11 +557,11 @@ def test_density_matrix_pinned_displaced_vacuum():
     x = pair_product(1, order)
     eta = Supernumber.eta(1, order)
     eta_h = Supernumber.eta_hash(1, order)
-    assert max_abs_coeff(rho[0, 0] - (1 + p * p * x)) < 1e-14
+    assert coefficient_gap(rho[0, 0], 1 + p * p * x) < 1e-14
     assert rho[1, 1].is_zero()
-    assert max_abs_coeff(rho[2, 2] - p * p * x) < 1e-14
-    assert max_abs_coeff(rho[0, 2] - p * eta_h) < 1e-14
-    assert max_abs_coeff(rho[2, 0] - p * eta) < 1e-14
+    assert coefficient_gap(rho[2, 2], p * p * x) < 1e-14
+    assert coefficient_gap(rho[0, 2], p * eta_h) < 1e-14
+    assert coefficient_gap(rho[2, 0], p * eta) < 1e-14
     tr = supertrace(rho)
     assert tr == Supernumber.one(order)
 

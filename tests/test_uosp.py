@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superqubit.grassmann import Supernumber, pair_product
-from superqubit.identities import matrix_residual
+from superqubit.identities import matrix_gap
 from superqubit.supermatrix import Supermatrix, exp_nilpotent
 from superqubit.uosp import (
     VEC_PARITY,
@@ -66,18 +66,18 @@ def test_algebra_element_is_anti_self_adjoint():
         xi = tuple(rng.uniform(-2, 2) for _ in range(3))
         p = rng.uniform(-1, 1)
         x = algebra_element(xi, p, ORDER)
-        assert matrix_residual(x.grade_adjoint() + x) < 1e-14
+        assert matrix_gap(x.grade_adjoint(), -x) < 1e-14
     # at p = 0 the odd part is a zero matrix, which adds to the even part
     x = algebra_element((0.3, -0.2, 0.1), 0.0, ORDER)
     assert x.parity == 0
-    assert matrix_residual(x.grade_adjoint() + x) < 1e-14
+    assert matrix_gap(x.grade_adjoint(), -x) < 1e-14
 
 
 def test_algebra_element_sign_flip_breaks_anti_self_adjointness():
     a1, a2, a3, q1, q2 = generators(ORDER)
     eta = Supernumber.eta(1, ORDER)
     wrong = eta * q1 - eta.hash() * q2
-    assert matrix_residual(wrong.grade_adjoint() + wrong) > 0.5
+    assert matrix_gap(wrong.grade_adjoint(), -wrong) > 0.5
 
 
 # -- odd displacement matrices -----------------------------------------------------
@@ -145,21 +145,21 @@ def test_s_matrix_second_pair_uses_other_generators():
 def test_s_matrix_matches_terminating_exponential(p):
     eta = Supernumber.eta(1, ORDER)
     built = exp_nilpotent(odd_exponent((2 * p) * eta))
-    assert matrix_residual(built - s_matrix(p, ORDER)) < 1e-13
+    assert matrix_gap(built, s_matrix(p, ORDER)) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)
 @given(DISPLACEMENTS, DISPLACEMENTS)
 def test_s_matrix_one_parameter_group_law(p, q):
     lhs = s_matrix(p, ORDER) @ s_matrix(q, ORDER)
-    assert matrix_residual(lhs - s_matrix(p + q, ORDER)) < 1e-12
+    assert matrix_gap(lhs, s_matrix(p + q, ORDER)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(DISPLACEMENTS)
 def test_s_matrix_superunitary(p):
     s = s_matrix(p, ORDER)
-    assert matrix_residual(s.grade_adjoint() @ s - _ident()) < 1e-12
+    assert matrix_gap(s.grade_adjoint() @ s, _ident()) < 1e-12
 
 
 def test_exp_law_fails_for_independent_odd_arguments():
@@ -169,7 +169,7 @@ def test_exp_law_fails_for_independent_odd_arguments():
     z2 = 0.6 * Supernumber.eta(2, ORDER)
     lhs = exp_nilpotent(odd_exponent(z1)) @ exp_nilpotent(odd_exponent(z2))
     rhs = exp_nilpotent(odd_exponent(z1 + z2))
-    assert matrix_residual(lhs - rhs) > 0.01
+    assert matrix_gap(lhs, rhs) > 0.01
 
 
 # -- qubit-block rotations ---------------------------------------------------------
@@ -179,7 +179,7 @@ def test_exp_law_fails_for_independent_odd_arguments():
 @given(ANGLES, ANGLES)
 def test_u_matrix_is_superunitary(theta, phi):
     u = u_matrix(theta, phi, ORDER)
-    assert matrix_residual(u.grade_adjoint() @ u - _ident()) < 1e-12
+    assert matrix_gap(u.grade_adjoint() @ u, _ident()) < 1e-12
 
 
 def test_u_matrix_pinned_entries():
@@ -212,7 +212,7 @@ def test_group_element_is_rotation_times_displacement():
 @given(ANGLES, ANGLES, DISPLACEMENTS)
 def test_group_element_superunitary(theta, phi, p):
     z = group_element(theta, phi, p, ORDER)
-    assert matrix_residual(z.grade_adjoint() @ z - _ident()) < 1e-12
+    assert matrix_gap(z.grade_adjoint() @ z, _ident()) < 1e-12
 
 
 # -- interchanging a displacement and a rotation -----------------------------------
@@ -231,7 +231,7 @@ def _conjugation_residuals(theta, phi, p):
     res = []
     for candidate in (derived, transcribed):
         rhs = u @ exp_nilpotent(odd_exponent((2 * p) * candidate))
-        res.append(matrix_residual(lhs - rhs))
+        res.append(matrix_gap(lhs, rhs))
     return res
 
 
