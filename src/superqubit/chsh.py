@@ -3,7 +3,7 @@
 Strategies carry two state displacements, per-setting local displacements
 and SU(2) angles for both players.  Evaluation follows the exact
 Grassmann path (superstate.measure_real of the locally rotated shared
-state); the shared state, the four group elements of a strategy and
+state); the shared state, Alice's two group elements of a strategy and
 Bob's half of the rotation for each of his two settings are built once
 for its four settings, so a setting runs only Alice's half and the
 measurement.  The optimizer uses a dense vectorized
@@ -146,26 +146,26 @@ def outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
     """Nine outcome probabilities for question pair (i, j), exact path:
     measure_real of the shared state after Alice's group element for
     setting i and Bob's for setting j, that is apply_local's two halves.
-    The shared state, the four group elements of the strategy and Bob's
-    half for each of his settings are built once and kept for the next
-    call."""
-    state, alice, bob, bob_halves = _strategy_parts(
+    The shared state, Alice's two group elements and Bob's half for each
+    of his settings are built once and kept for the next call."""
+    state, alice, bob_halves = _strategy_parts(
         np.array(strat.to_vector(), dtype=float).tobytes())
     return measure_real(_alice_half(state, alice[i], bob_halves[j]))
 
 
 @lru_cache(maxsize=1)  # callers ask for the four settings of one strategy in a row
 def _strategy_parts(vec: bytes):
-    """(upsilon, Alice's two group elements, Bob's two, Bob's half of
-    apply_local on upsilon for each of his two) of the strategy vector with
+    """(upsilon, Alice's two group elements, Bob's half of apply_local on
+    upsilon for each of his two group elements) of the strategy vector with
     these float64 bytes.  Keyed on the bytes, not on float equality, so
     that -0.0 and 0.0 are different keys and no earlier call decides what
     a later one returns."""
     strat = Strategy.from_vector(np.frombuffer(vec).tolist())
     state = upsilon(strat.p_a, strat.p_b)
     alice = tuple(local_rotation(strat.r[i], *strat.alice[i], pair=1) for i in (0, 1))
-    bob = tuple(local_rotation(strat.s[j], *strat.bob[j], pair=2) for j in (0, 1))
-    return state, alice, bob, tuple(_bob_half(state, z_b) for z_b in bob)
+    bob_halves = tuple(_bob_half(state, local_rotation(strat.s[j], *strat.bob[j], pair=2))
+                       for j in (0, 1))
+    return state, alice, bob_halves
 
 
 def win_prob(strat: Strategy) -> float:
@@ -174,13 +174,13 @@ def win_prob(strat: Strategy) -> float:
 
 def constraint_violation(strat: Strategy, tables=None) -> float:
     """Largest distance of any of the 36 probabilities outside [0, 1],
-    plus the total box excess of |p|, |r|, |s| beyond 1/2."""
+    plus the total box excess of |p|, |r|, |s| beyond 1/2; inf if any is not finite."""
+    shifts = (strat.p_a, strat.p_b, *strat.r, *strat.s)
+    if not all(map(math.isfinite, shifts)):
+        return math.inf
     if tables is None:
         tables = [outcome_probs(i, j, strat) for (i, j) in SETTINGS]
-    box = sum(
-        max(0.0, abs(x) - BOX_LIMIT)
-        for x in (strat.p_a, strat.p_b, *strat.r, *strat.s)
-    )
+    box = sum(max(0.0, abs(x) - BOX_LIMIT) for x in shifts)
     return _table_violation(np.asarray(tables, dtype=float)) + box
 
 
@@ -562,6 +562,9 @@ def _pwin_from_tables(t) -> float:
 
 
 def _table_violation(t: np.ndarray) -> float:
+    """Largest distance of an entry outside [0, 1]; inf if one is not finite."""
+    if not np.isfinite(t).all():  # max would pass a NaN over
+        return math.inf
     return float(max(0.0, -t.min(), t.max() - 1.0))
 
 

@@ -222,15 +222,18 @@ def cmd_transition(args) -> int:
 
 # -- transition-grid scan ----------------------------------------------------------
 
+# both scanned states' angles: equal angles leave every value 1 - (p - q)^2
+_SCAN_THETA, _SCAN_PHI = math.pi / 5.0, 0.7
+
 
 def cmd_scan(args) -> int:
     """Map the transition probability between displaced superqubits over (p, q).
 
     For each pair of displacement parameters on a square grid over
-    [-extent, extent], builds the two superqubit states at the fixed angles
-    --theta and --phi, evaluates the transition probability through the
-    graded inner product and the modified Rogers norm, and records whether
-    the pair sits in the regions where that number is a valid probability:
+    [-extent, extent], builds the two superqubit states at one pair of
+    angles, evaluates the transition probability through the graded inner
+    product and the modified Rogers norm, and records whether the pair sits
+    in the regions where that number is a valid probability:
 
     - s1: |p - q| <= 1 and |p + q| <= 1 (transition in [0, 1]);
     - s2: both displacements individually in [-1/2, 1/2] (the box: every
@@ -247,22 +250,21 @@ def cmd_scan(args) -> int:
     n = args.points
     if n < 2:
         raise ValueError("need at least 2 grid points per axis")
-    for name in ("extent", "theta", "phi"):
-        if not math.isfinite(getattr(args, name)):
-            raise ValueError(f"--{name} must be a finite number")
+    if not math.isfinite(args.extent):
+        raise ValueError("--extent must be a finite number")
     grid = [-args.extent + 2.0 * args.extent * k / (n - 1) for k in range(n)]
     rows = []
     worst = 0.0
     for p in grid:
-        u = superqubit(p, args.theta, args.phi)
+        u = superqubit(p, _SCAN_THETA, _SCAN_PHI)
         for q in grid:
-            t = transition_real(u, superqubit(q, args.theta, args.phi))
+            t = transition_real(u, superqubit(q, _SCAN_THETA, _SCAN_PHI))
             worst = max(worst, abs(t - (1.0 - (p - q) ** 2)))
             in_s1, in_s2 = physical_pair(p, q)
             rows.append((p, q, t, int(in_s1), int(in_s2)))
 
     print(f"{n * n} grid points, p,q in [{-args.extent:g}, {args.extent:g}], "
-          f"theta={args.theta:g} phi={args.phi:g}")
+          f"theta={_SCAN_THETA:g} phi={_SCAN_PHI:g}")
     print(f"worst deviation from 1 - (p - q)^2: {worst:.3e}")
     step = max(1, (n - 1) // 20)
     for i in range(0, n, step):
@@ -386,10 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="grid points per axis (default 41)")
     p_scan.add_argument("--extent", type=float, default=1.0,
                         help="scan p, q in [-extent, extent] (default 1.0)")
-    p_scan.add_argument("--theta", type=float, default=math.pi / 5.0,
-                        help="rotation angle used for both states")
-    p_scan.add_argument("--phi", type=float, default=0.7,
-                        help="phase angle used for both states")
     p_scan.add_argument("--csv", metavar="PATH", help="write the grid as CSV")
     p_scan.set_defaults(run=cmd_scan)
 

@@ -14,8 +14,9 @@ Results of arithmetic (@, +, entrywise maps, scalar multiples,
 supertranspose, graded_kron) are built by an internal constructor that
 trusts the grid and the parity labels; a product is one call of
 grassmann's matrix_product, which forms each entry as one fused sum of
-products, pruned once, on the dict loop or the pair table.  The public
-constructor always validates.
+products, pruned once, on the dict loop or the pair table; supertrace and
+each entry of exp_nilpotent are one such sum too, and a number scales each
+term, dropping only exact zeros.  The public constructor always validates.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .grassmann import (
     DimensionMismatch,
     ParityError,
     Supernumber,
+    _sum_of_products,
     matrix_product,
 )
 import numbers
@@ -168,10 +170,10 @@ class Supermatrix:
             return NotImplemented
         return self + (-other)
 
-    def _scalar(self, zeta) -> tuple[Supernumber, int]:
-        """zeta as a Supernumber of this matrix's order, with its parity."""
+    def _scalar(self, zeta) -> tuple[Supernumber | numbers.Complex, int]:
+        """zeta, a number or a Supernumber of this matrix's order, with its parity."""
         if not isinstance(zeta, Supernumber):
-            zeta = Supernumber.from_complex(zeta, self.order)
+            return zeta, 0  # a number scales each term: only exact zeros go
         zp = zeta.parity()
         if zp is None:
             raise ParityError("a supermatrix can only be scaled by a homogeneous supernumber")
@@ -278,16 +280,13 @@ def _new(entries, row_parity, col_parity, parity, order) -> Supermatrix:
 
 
 def supertrace(s: Supermatrix) -> Supernumber:
-    """Tr(A) - (-1)^|S| Tr(D) over the graded diagonal."""
+    """Tr(A) - (-1)^|S| Tr(D) over the graded diagonal, one fused sum."""
     if not s.is_square():
         raise DimensionMismatch("supertrace needs matching row/column parities")
-    acc = Supernumber.zero(s.order)
-    for i, rp in enumerate(s.row_parity):
-        e = s.entries[i][i]
-        if rp == 1 and s.parity == 0:
-            e = -e
-        acc = acc + e
-    return acc
+    one = Supernumber.one(s.order)
+    signs = (one, -one) if s.parity == 0 else (one, one)
+    return _sum_of_products(s.order, ((s.entries[i][i], signs[rp])
+                                      for i, rp in enumerate(s.row_parity)))
 
 
 def graded_kron(a: Supermatrix, b: Supermatrix) -> Supermatrix:
@@ -329,11 +328,13 @@ def exp_nilpotent(s: Supermatrix) -> Supermatrix:
         for e in row:
             if abs(e.body) > COMPARE_TOL:
                 raise NotNilpotent(f"entry has nonzero body {e.body}")
-    acc = Supermatrix.identity(s.row_parity, s.order)
-    term = acc
+    one = Supernumber.one(s.order)
+    terms = [Supermatrix.identity(s.row_parity, s.order)]
     for k in range(1, s.order + 2):
-        term = (term @ s) * (1.0 / k)
-        if term.is_zero(0.0):
+        terms.append((terms[-1] @ s) * (1.0 / k))
+        if terms[-1].is_zero(0.0):
             break
-        acc = acc + term
-    return acc
+    # each entry is one fused sum over the series, pruned once
+    grid = tuple(tuple(_sum_of_products(s.order, ((t.entries[i][j], one) for t in terms))
+                       for j in range(len(s.col_parity))) for i in range(len(s.row_parity)))
+    return _new(grid, s.row_parity, s.col_parity, 0, s.order)

@@ -28,6 +28,7 @@ from .grassmann import (
     DimensionMismatch,
     ParityError,
     Supernumber,
+    _new as _new_number,
     _sum_of_products,
     pair_product,
     rogers_of_hash_product,
@@ -92,8 +93,11 @@ def ket_parity(index: int, parties: int) -> int:
 
 def _flip_odd(c: Supernumber, index: int, parties: int) -> Supernumber:
     """c with the sign of its odd part flipped if ket index is odd: the
-    left-pulled <-> right conversion of that ket's coefficient (involutive)."""
-    return c.even_part() - c.odd_part() if _KET_PARITY[parties][index] else c
+    left-pulled <-> right conversion of that ket's coefficient (involutive).
+    It forms no sum, so drops no term; 0j - x keeps a subtraction's +0.0."""
+    if not _KET_PARITY[parties][index]:
+        return c
+    return _new_number(c.order, {m: 0j - x if m.bit_count() & 1 else x for m, x in c._terms.items()})
 
 
 def metric_sign(index: int, parties: int) -> int:
@@ -287,14 +291,10 @@ def tensor(a: SuperState, b: SuperState) -> SuperState:
 
 
 def inner_product(u: SuperState, v: SuperState) -> Supernumber:
-    """<u|v> = sum_J hash(u^J) v^J g_J over right coordinates."""
+    """<u|v> = sum_J hash(u^J) g_J v^J over right coordinates, one fused sum."""
     if (u.parties, u.order, u.pairs) != (v.parties, v.order, v.pairs):
         raise DimensionMismatch("states live in different spaces")
-    acc = Supernumber.zero(u.order)
-    for i in range(3 ** u.parties):
-        t = u.right_coefficient(i).hash() * v.right_coefficient(i)
-        acc = acc + (t * metric_sign(i, u.parties))
-    return acc
+    return _sum_of_products(u.order, zip(bra_coefficients(u), v._right))
 
 
 def norm_supernumber(u: SuperState) -> Supernumber:
@@ -398,9 +398,7 @@ def density_matrix(state: SuperState) -> Supermatrix:
 
 def bra_coefficients(state: SuperState) -> tuple[Supernumber, ...]:
     """Row-supervector entries of the corresponding bra."""
-    right = state.right_coefficients()
-    return tuple(right[i].hash() * metric_sign(i, state.parties)
-                 for i in range(3 ** state.parties))
+    return tuple(x.hash() * g for x, g in zip(state._right, _METRIC_SIGN[state.parties]))
 
 
 # -- physicality and compactification -----------------------------------------

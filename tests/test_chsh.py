@@ -57,6 +57,7 @@ from superqubit.chsh import (
 from superqubit.grassmann import Supernumber, modified_rogers
 from superqubit.identities import rand_supernumber
 from superqubit.superstate import (
+    _bob_half,
     apply_local,
     digits_of,
     grassmann_outcomes,
@@ -191,11 +192,12 @@ def test_outcome_probs_keeps_no_stale_parts():
             for (i, j), table in zip(SETTINGS, want):
                 assert repr(outcome_probs(i, j, strat)) == table
                 key = np.array(strat.to_vector(), dtype=float).tobytes()
-                _, alice, bob, _ = chsh._strategy_parts(key)
+                _, alice, bob_halves = chsh._strategy_parts(key)
                 assert repr(alice[i].entries) == repr(
                     local_rotation(strat.r[i], *strat.alice[i], pair=1).entries)
-                assert repr(bob[j].entries) == repr(
-                    local_rotation(strat.s[j], *strat.bob[j], pair=2).entries)
+                assert repr(bob_halves[j]) == repr(_bob_half(
+                    upsilon(strat.p_a, strat.p_b),
+                    local_rotation(strat.s[j], *strat.bob[j], pair=2)))
     # Bob's half kept per setting gives the bytes of apply_local, displaced
     # or rotation-only (every fourth strategy)
     for n in range(32):
@@ -425,6 +427,11 @@ def test_constraint_violation_flags_box_and_probability_excess():
     assert constraint_violation(feasible, tables=tables) == pytest.approx(
         constraint_violation(feasible), abs=1e-15
     )
+    # a NaN compares false both ways, so max would pass it over: a strategy
+    # or a table that is not finite is never feasible
+    assert constraint_violation(Strategy(p_a=math.nan)) == math.inf
+    assert constraint_violation(Strategy(s=(math.nan, 0.0))) == math.inf
+    assert constraint_violation(Strategy(), tables=np.full((4, 9), math.nan)) == math.inf
 
 
 def test_box_does_not_keep_two_party_tables_non_negative():

@@ -13,6 +13,7 @@ import pytest
 from superqubit import chsh, cli
 from superqubit.chsh import SETTINGS, OptimizeConfig, Strategy, outcome_probs
 from superqubit.supermatrix import Supermatrix
+from superqubit.superstate import superqubit, transition_real
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
@@ -444,18 +445,30 @@ def test_scan_rejects_a_single_point(capsys):
 
 
 def test_scan_rejects_non_finite_values(capsys):
-    for flag in ("--extent", "--theta", "--phi"):
-        assert cli.main(["scan", "--points", "2", flag, "nan"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"error: {flag} must be a finite number" in err
-    assert cli.main(["scan", "--points", "2", "--extent", "inf"]) == 2
-    assert capsys.readouterr().out == ""
-    # "--phi -inf" would read -inf as an option: the value is joined with "="
-    assert cli.main(["scan", "--points", "2", "--phi=-inf"]) == 2
+    assert cli.main(["scan", "--points", "2", "--extent", "nan"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error: --phi must be a finite number" in err
+    assert "error: --extent must be a finite number" in err
+    assert cli.main(["scan", "--points", "2", "--extent", "inf"]) == 2
+    assert capsys.readouterr().out == ""
+    # "--extent -inf" would read -inf as an option: the value is joined with "="
+    assert cli.main(["scan", "--points", "2", "--extent=-inf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: --extent must be a finite number" in err
+
+
+def test_scan_grid_does_not_depend_on_the_angles():
+    # both states share their angles, so the scan fixes one pair: any other
+    # pair moves no grid value by more than rounding
+    grid = [-1.0 + 2.0 * k / 8 for k in range(9)]
+    want = [transition_real(superqubit(p, cli._SCAN_THETA, cli._SCAN_PHI),
+                            superqubit(q, cli._SCAN_THETA, cli._SCAN_PHI))
+            for p in grid for q in grid]
+    for theta, phi in ((0.0, 0.0), (1.1, -2.3), (-0.3, 3.0)):
+        got = [transition_real(superqubit(p, theta, phi), superqubit(q, theta, phi))
+               for p in grid for q in grid]
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
 
 
 def test_scan_refuses_an_unwritable_csv_path(tmp_path, capsys):

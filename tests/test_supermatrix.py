@@ -364,6 +364,12 @@ def test_supertrace_pinned():
     d = Supernumber.from_complex(5.0, ORDER)
     s = Supermatrix([[a, _eta()], [_eta_hash(), d]], P2, P2, 0)
     assert supertrace(s) == Supernumber.from_complex((2 + 1j) - 5.0, ORDER)
+    # one sum over the diagonal, pruned once: a term of 6e-15 on each entry
+    # adds up to one above PRUNE_TOL, which a running sum would drop twice
+    x = Supernumber(ORDER, {3: 1.0}) * 6e-15
+    z = Supernumber.zero(ORDER)
+    assert supertrace(Supermatrix([[x, z], [z, x]], (0, 0), (0, 0), 0)).terms() == {3: 1.2e-14}
+    assert supertrace(Supermatrix([[x, z], [z, -x]], P2, P2, 0)).terms() == {3: 1.2e-14}
 
 
 def test_supertrace_invariant_under_supertranspose():
@@ -399,6 +405,10 @@ def test_even_scalar_action_is_plain():
     zeta = rand_supernumber(rng, ORDER, 0)
     m = rand_supermatrix(rng, P2, P2, 1, ORDER)
     assert zeta * m == m * zeta
+    # a number scales each entry as it scales a supernumber: only exact zeros go
+    x = Supernumber(ORDER, {3: 1.0})
+    m = Supermatrix([[x]], (0,), (0,), 0)
+    assert (m * 6e-15)[0, 0].terms() == (6e-15 * m)[0, 0].terms() == {3: 6e-15}
 
 
 # -- graded Kronecker product ------------------------------------------------------
@@ -455,6 +465,15 @@ def test_exp_nilpotent_of_zero():
     # a zero matrix has either parity, so an odd-declared one is allowed too
     z = Supermatrix.zeros(P3, P3, ORDER, parity=1)
     assert exp_nilpotent(z) == Supermatrix.identity(P3, ORDER)
+
+
+def test_exp_nilpotent_sums_its_series_once():
+    # with X_k = eta_k eta_k#, N^2/2 and N^3/6 each put 8e-15 on X1 X2 X3:
+    # their sum is above PRUNE_TOL, and a running sum would drop both
+    x1, x2, x3 = (pair_product(k, 6) for k in (1, 2, 3))
+    n = (x1 + x2 + x3) * 2e-5 + x1 * x2 * 4e-10
+    e = exp_nilpotent(Supermatrix([[n]], (0,), (0,), 0))
+    assert e[0, 0].coefficient(63) == pytest.approx(1.6e-14, rel=1e-12, abs=0)
 
 
 def test_exp_nilpotent_inverse_law():

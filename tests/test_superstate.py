@@ -143,6 +143,11 @@ def test_left_and_right_coefficients_flip_odd_parts():
             assert left == right
         else:
             assert left == right.even_part() - right.odd_part()
+    # the flip forms no sum, so it keeps a term below the zero rule of sums
+    one, zero = Supernumber.one(2), Supernumber.zero(2)
+    tiny = SuperState([one, zero, Supernumber.eta(1, 2) * 1e-15], 1)
+    assert tiny.left_coefficient(2).terms() == {1: 1e-15}
+    assert tiny.right_coefficient(2).terms() == {1: -1e-15}
 
 
 def test_scalar_multiplication_and_equality():
@@ -266,6 +271,15 @@ def test_inner_product_conjugate_symmetry():
         lhs = inner_product(u, v)
         rhs = inner_product(v, u).hash()
         assert coefficient_gap(lhs, rhs) < 1e-13
+
+
+def test_inner_product_is_one_sum():
+    # <u|v> sums the kets' products once and prunes once: two products of
+    # 6e-15 on one monomial add up to one above PRUNE_TOL
+    one, zero = Supernumber.one(2), Supernumber.zero(2)
+    x = Supernumber(2, {3: 1.0}) * 6e-15
+    got = inner_product(SuperState([one, one, zero], 1), SuperState([x, x, zero], 1))
+    assert got.terms() == {3: 1.2e-14}
 
 
 def test_inner_product_requires_matching_shape():
