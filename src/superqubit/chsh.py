@@ -79,8 +79,7 @@ from .superstate import (
     measure_real,
     upsilon,
 )
-from .supermatrix import Supermatrix
-from .uosp import VEC_PARITY, s_matrix, u_matrix, u_matrix_from_amplitudes
+from .uosp import VEC_PARITY, group_element, s_matrix, u_matrix_from_amplitudes
 
 OUTCOME_LABELS = tuple(label_of(k, 2, ascii_bullet=True) for k in range(9))
 # outcome 0 announces bit 0, outcomes 1 and bullet announce bit 1
@@ -137,11 +136,6 @@ class Strategy:
         )
 
 
-def local_rotation(displacement: float, theta: float, phi: float, pair: int) -> Supermatrix:
-    """Per-setting group element S(2 r eta) U(theta, phi) on one party's pair."""
-    return s_matrix(displacement, 4, pair) @ u_matrix(theta, phi, 4)
-
-
 def outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
     """Nine outcome probabilities for question pair (i, j), exact path:
     measure_real of the shared state after Alice's group element for
@@ -162,8 +156,8 @@ def _strategy_parts(vec: bytes):
     a later one returns."""
     strat = Strategy.from_vector(np.frombuffer(vec).tolist())
     state = upsilon(strat.p_a, strat.p_b)
-    alice = tuple(local_rotation(strat.r[i], *strat.alice[i], pair=1) for i in (0, 1))
-    bob_halves = tuple(_bob_half(state, local_rotation(strat.s[j], *strat.bob[j], pair=2))
+    alice = tuple(group_element(*strat.alice[i], strat.r[i], 4, 1) for i in (0, 1))
+    bob_halves = tuple(_bob_half(state, group_element(*strat.bob[j], strat.s[j], 4, 2))
                        for j in (0, 1))
     return state, alice, bob_halves
 

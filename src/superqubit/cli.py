@@ -245,7 +245,9 @@ def cmd_scan(args) -> int:
     Prints a coarse text map ('#' in s2, '+' in s1 only, '.' transition
     outside [0, 1]) and, with --csv, writes one row per grid point.  The
     closed form for equal angles, 1 - (p - q)^2, is checked against the
-    graded route on every point; exits 1 if any point disagrees.
+    graded route on every point: exits 1 if one is off by more than the
+    rounding of the terms that cancel, max(1e-12, 1e-14 (p^2 + q^2)), and 2,
+    printing and writing nothing, if a transition or 1 - (p - q)^2 is not finite.
     """
     n = args.points
     if n < 2:
@@ -254,12 +256,16 @@ def cmd_scan(args) -> int:
         raise ValueError("--extent must be a finite number")
     grid = [-args.extent + 2.0 * args.extent * k / (n - 1) for k in range(n)]
     rows = []
-    worst = 0.0
+    worst, missed = 0.0, False
     for p in grid:
         u = superqubit(p, _SCAN_THETA, _SCAN_PHI)
         for q in grid:
             t = transition_real(u, superqubit(q, _SCAN_THETA, _SCAN_PHI))
-            worst = max(worst, abs(t - (1.0 - (p - q) ** 2)))
+            want = 1.0 - (p - q) * (p - q)
+            if not (math.isfinite(t) and math.isfinite(want)):
+                raise ValueError(f"the scan holds a non-finite transition at p={p!r}, q={q!r}")
+            worst = max(worst, abs(t - want))
+            missed |= abs(t - want) > max(1e-12, 1e-14 * (p * p + q * q))
             in_s1, in_s2 = physical_pair(p, q)
             rows.append((p, q, t, int(in_s1), int(in_s2)))
 
@@ -273,7 +279,7 @@ def cmd_scan(args) -> int:
     if args.csv:
         _write(args.csv, _csv(["p", "q", "transition", "in_s1", "in_s2"], rows))
         print(f"wrote {args.csv} ({len(rows)} rows)")
-    return 0 if worst < 1e-12 else 1
+    return 1 if missed else 0
 
 
 # -- CHSH commands ----------------------------------------------------------------

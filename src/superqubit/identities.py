@@ -223,7 +223,7 @@ def displacement_group_law(rng, k):
 
 @_over_draws
 def superunitarity(rng, k):
-    """Z^adj Z = 1 for the group elements Z = U(theta, phi) S(2p·η)."""
+    """Z^adj Z = 1 for the group elements Z = S(2p·η) U(theta, phi) that the game plays."""
     z = group_element(_angle(rng), _angle(rng), rng.uniform(-1, 1), 2)
     return matrix_gap(z.grade_adjoint() @ z, Supermatrix.identity(VEC_PARITY, 2))
 

@@ -30,7 +30,6 @@ from .grassmann import (
     Supernumber,
     _new as _new_number,
     _sum_of_products,
-    pair_product,
     rogers_of_hash_product,
 )
 from .supermatrix import Supermatrix
@@ -243,7 +242,7 @@ def _new(right, parties: int, pairs, order: int) -> SuperState:
 
 
 def superqubit(p: float, theta: float, phi: float, order: int = 2, pair: int = 1) -> SuperState:
-    """Pure superqubit S(2p eta) U(alpha, beta) |0>: S times U's first column."""
+    """group_element(theta, phi, p) |0>, the pure superqubit: S(2p eta) times U's first column."""
     u_col = tuple(row[0] for row in u_matrix(theta, phi, order).entries)
     s = s_matrix(p, order, pair)
     return _new(tuple(_sum_of_products(order, zip(row, u_col)) for row in s.entries),
@@ -255,17 +254,16 @@ def upsilon(p_a: float, p_b: float) -> SuperState:
 
     Left-pulled coefficients: G_A G_B/sqrt(2) on |00> and |11>,
     p_B eta_B G_A on |1•>, p_A eta_A G_B on |•1>, -p_A p_B eta_A eta_B
-    on |••>, where G_i = 1 + p_i^2/2 eta_i eta_i#.  Stored are the right
-    coordinates, which negate the two odd entries on the odd kets |1•>, |•1>.
+    on |••>, where G_i is S(2p_i eta_i)'s diagonal entry 1 + p_i^2/2 eta_i eta_i#.
+    Stored are the right coordinates, negating the odd entries on |1•>, |•1>.
     """
     order = 4
     eta_a = Supernumber.eta(1, order)
     eta_b = Supernumber.eta(2, order)
-    g_a = Supernumber.one(order) + pair_product(1, order) * (p_a * p_a / 2.0)
-    g_b = Supernumber.one(order) + pair_product(2, order) * (p_b * p_b / 2.0)
-    zero = Supernumber.zero(order)
+    g_a = s_matrix(p_a, order, 1)[0, 0]
+    g_b = s_matrix(p_b, order, 2)[0, 0]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    coeffs = [zero] * 9
+    coeffs = [Supernumber.zero(order)] * 9
     coeffs[index_of("00")] = g_a * g_b * inv_sqrt2
     coeffs[index_of("11")] = g_a * g_b * inv_sqrt2
     coeffs[index_of("1*")] = eta_b * g_a * (-p_b)

@@ -1,4 +1,4 @@
-"""uosp(1|2) over CL_N: generators, algebra elements, closed-form group elements.
+"""uosp(1|2) over CL_N: generators, algebra elements, group elements S(2p eta) U(theta, phi).
 
 All matrices are 3x3 over the graded basis (|0>, |1>, |bullet>) with
 parities (0, 0, 1).  Generators act in an ambient algebra of order N
@@ -97,8 +97,9 @@ def u_matrix(theta: float, phi: float, order: int = 2) -> Supermatrix:
 
 def group_element(theta: float, phi: float, p: float,
                   order: int = 2, pair: int = 1) -> Supermatrix:
-    """Z = U(theta, phi) S(2p eta); superunitary, Z gradeadjoint Z = 1."""
-    return u_matrix(theta, phi, order) @ s_matrix(p, order, pair)
+    """Z = S(2p eta) U(theta, phi), superunitary: the one local group element, which
+    prepares superqubit(p, theta, phi) from |0> and acts as each CHSH setting."""
+    return s_matrix(p, order, pair) @ u_matrix(theta, phi, order)
 
 
 def odd_exponent(zeta: Supernumber) -> Supermatrix:

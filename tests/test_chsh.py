@@ -47,7 +47,6 @@ from superqubit.chsh import (
     best_classical_win_prob,
     constraint_violation,
     fast_outcome_tables,
-    local_rotation,
     optimize,
     oracle_outcome_probs,
     oracle_win_prob,
@@ -65,7 +64,7 @@ from superqubit.superstate import (
     measure_real,
     upsilon,
 )
-from superqubit.uosp import VEC_PARITY, s_matrix, u_matrix
+from superqubit.uosp import VEC_PARITY, group_element, s_matrix
 
 from conftest import run_under_blas_threads
 
@@ -147,11 +146,6 @@ def test_flipping_one_partys_displacements_keeps_every_table():
             assert np.max(np.abs(np.array(flipped_exact) - exact)) <= 1e-15
 
 
-def test_local_rotation_order():
-    z = local_rotation(0.2, 0.7, -0.3, pair=1)
-    assert z == s_matrix(0.2, 4, 1) @ u_matrix(0.7, -0.3, 4)
-
-
 # -- evaluators --------------------------------------------------------------------
 
 
@@ -162,14 +156,14 @@ def test_tables_are_normalized():
         for i, j in SETTINGS:
             table = outcome_probs(i, j, strat)
             assert len(table) == 9
-            assert sum(table) == pytest.approx(1.0, abs=1e-12)
+            assert sum(table) == pytest.approx(1.0, abs=1e-13)
 
 
 def _from_scratch(i, j, strat):
     """outcome_probs(i, j, strat) with every part built anew: apply_local
     on a fresh shared state, then measure_real."""
-    za = local_rotation(strat.r[i], *strat.alice[i], pair=1)
-    zb = local_rotation(strat.s[j], *strat.bob[j], pair=2)
+    za = group_element(*strat.alice[i], strat.r[i], 4, 1)
+    zb = group_element(*strat.bob[j], strat.s[j], 4, 2)
     return measure_real(apply_local(upsilon(strat.p_a, strat.p_b), za, zb))
 
 
@@ -194,10 +188,10 @@ def test_outcome_probs_keeps_no_stale_parts():
                 key = np.array(strat.to_vector(), dtype=float).tobytes()
                 _, alice, bob_halves = chsh._strategy_parts(key)
                 assert repr(alice[i].entries) == repr(
-                    local_rotation(strat.r[i], *strat.alice[i], pair=1).entries)
+                    group_element(*strat.alice[i], strat.r[i], 4, 1).entries)
                 assert repr(bob_halves[j]) == repr(_bob_half(
                     upsilon(strat.p_a, strat.p_b),
-                    local_rotation(strat.s[j], *strat.bob[j], pair=2)))
+                    group_element(*strat.bob[j], strat.s[j], 4, 2)))
     # Bob's half kept per setting gives the bytes of apply_local, displaced
     # or rotation-only (every fourth strategy)
     for n in range(32):
@@ -234,8 +228,8 @@ def test_no_signalling_on_grassmann_outcomes():
                                      + [rng.uniform(-math.pi, math.pi) for _ in range(8)])
         ups = upsilon(strat.p_a, strat.p_b)
         tables = [grassmann_outcomes(apply_local(
-            ups, local_rotation(strat.r[i], *strat.alice[i], pair=1),
-            local_rotation(strat.s[j], *strat.bob[j], pair=2))) for i, j in SETTINGS]
+            ups, group_element(*strat.alice[i], strat.r[i], 4, 1),
+            group_element(*strat.bob[j], strat.s[j], 4, 2))) for i, j in SETTINGS]
         for party in (0, 1):
             for own in _marginals(tables, party):
                 for first, second in zip(*own):
@@ -296,8 +290,8 @@ def test_fast_amplitudes_match_apply_local():
         values = _fast_amplitudes(strat.to_vector(), full)[:, 0]
         fast, fold = by_ket(values), by_ket(_fold(values, full))
         for row, (i, j) in enumerate(SETTINGS):
-            za = local_rotation(strat.r[i], *strat.alice[i], pair=1)
-            zb = local_rotation(strat.s[j], *strat.bob[j], pair=2)
+            za = group_element(*strat.alice[i], strat.r[i], 4, 1)
+            zb = group_element(*strat.bob[j], strat.s[j], 4, 2)
             state = apply_local(upsilon(strat.p_a, strat.p_b), za, zb)
             for ket in range(9):
                 a, b = digits_of(ket, 2)
@@ -377,8 +371,8 @@ def test_kernel_tables_reproduce_exact_algebra():
                + [rng.uniform(-angle_scale, angle_scale) for _ in range(8)])
         alice, bob = _complex_tables(vec)
         for setting in range(2):
-            za = local_rotation(vec[setting], vec[4 + 2 * setting], vec[5 + 2 * setting], pair=1)
-            zb = local_rotation(vec[2 + setting], vec[8 + 2 * setting], vec[9 + 2 * setting], pair=2)
+            za = group_element(vec[4 + 2 * setting], vec[5 + 2 * setting], vec[setting], 4, 1)
+            zb = group_element(vec[8 + 2 * setting], vec[9 + 2 * setting], vec[2 + setting], 4, 2)
             if angle_scale == 0.0:
                 assert za == s_matrix(vec[setting], 4, 1)
                 assert zb == s_matrix(vec[2 + setting], 4, 2)

@@ -208,6 +208,20 @@ def test_baseline_values(tmp_path, capsys):
     assert payload["ok"] is True
 
 
+def test_baseline_mismatch_exits_1(tmp_path, monkeypatch, capsys):
+    # a reference value off its expectation fails the command, and the
+    # values are still printed and written
+    monkeypatch.setattr(chsh, "best_classical_win_prob", lambda: 0.7)
+    out_file = tmp_path / "base.json"
+    assert cli.main(["baseline", "--json", str(out_file)]) == 1
+    out, err = capsys.readouterr()
+    assert "classical optimum (16 deterministic strategies): 0.7" in out
+    assert "baseline mismatch" in err
+    payload = json.loads(out_file.read_text())
+    assert payload["classical"] == 0.7
+    assert payload["ok"] is False
+
+
 # -- chsh-eval ---------------------------------------------------------------------
 
 
@@ -269,6 +283,20 @@ def test_chsh_eval_malformed_file_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["chsh-eval", str(bad)]) == 2
         assert capsys.readouterr().out == ""
+    # r and s hold two entries each
+    for key, value in (("r", [0.0] * 3), ("s", [0.0])):
+        bad.write_text(json.dumps({**good, key: value}))
+        assert cli.main(["chsh-eval", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "r and s each need exactly two entries" in err
+    # a strategy file or a config file holds a JSON object
+    bad.write_text("[]")
+    for command in ("chsh-eval", "chsh-optimize"):
+        assert cli.main([command, str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "top-level JSON object expected" in err
     # an output file that cannot be written is an input error too
     good_file = _write_strategy_file(tmp_path / "good.json", Strategy.tsirelson())
     for flag in ("--json", "--csv"):
@@ -426,15 +454,18 @@ def test_chsh_optimize_writes_no_negative_zero(tmp_path, capsys):
 
 
 def test_scan_writes_the_grid(tmp_path, capsys):
-    out = tmp_path / "grid.csv"
-    assert cli.main(["scan", "--points", "5", "--csv", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert "25 grid points" in stdout
-    assert f"wrote {out} (25 rows)" in stdout
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["p", "q", "transition", "in_s1", "in_s2"]
-    assert len(rows) == 1 + 25
+    # at extent 100 the terms that cancel are of size 4e4, and the graded
+    # route is off by their rounding: still on the closed form
+    for extent in ("1", "100"):
+        out = tmp_path / f"grid-{extent}.csv"
+        assert cli.main(["scan", "--points", "5", "--extent", extent, "--csv", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "25 grid points" in stdout
+        assert f"wrote {out} (25 rows)" in stdout
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["p", "q", "transition", "in_s1", "in_s2"]
+        assert len(rows) == 1 + 25
 
 
 def test_scan_rejects_a_single_point(capsys):
@@ -444,7 +475,7 @@ def test_scan_rejects_a_single_point(capsys):
     assert "error:" in err
 
 
-def test_scan_rejects_non_finite_values(capsys):
+def test_scan_rejects_non_finite_values(tmp_path, capsys):
     assert cli.main(["scan", "--points", "2", "--extent", "nan"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -456,6 +487,15 @@ def test_scan_rejects_non_finite_values(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "error: --extent must be a finite number" in err
+    # finite extents whose transitions overflow (1e200), or whose grid
+    # does (1e308), print and write nothing
+    for extent in ("1e200", "1e308"):
+        csv_file = tmp_path / f"grid-{extent}.csv"
+        assert cli.main(["scan", "--points", "3", "--extent", extent, "--csv", str(csv_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "non-finite" in err
+        assert not csv_file.exists()
 
 
 def test_scan_grid_does_not_depend_on_the_angles():

@@ -203,9 +203,9 @@ def test_u_matrix_from_amplitudes_checks_normalization():
         u_matrix_from_amplitudes(1.0, 0.5, ORDER)
 
 
-def test_group_element_is_rotation_times_displacement():
+def test_group_element_is_displacement_times_rotation():
     z = group_element(0.9, 0.4, -0.35, ORDER)
-    assert z == u_matrix(0.9, 0.4, ORDER) @ s_matrix(-0.35, ORDER)
+    assert z == s_matrix(-0.35, ORDER) @ u_matrix(0.9, 0.4, ORDER)
 
 
 @settings(max_examples=40, deadline=None)
