@@ -55,7 +55,6 @@ from .superstate import (
     SuperState,
     apply,
     apply_local,
-    bra_coefficients,
     compactify,
     density_matrix,
     grassmann_outcomes,
@@ -115,7 +114,6 @@ __all__ = [
     "SuperState",
     "apply",
     "apply_local",
-    "bra_coefficients",
     "compactify",
     "density_matrix",
     "grassmann_outcomes",

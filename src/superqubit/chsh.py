@@ -3,10 +3,10 @@
 Strategies carry two state displacements, per-setting local displacements
 and SU(2) angles for both players.  Evaluation follows the exact
 Grassmann path (superstate.measure_real of the locally rotated shared
-state); the shared state, Alice's two group elements of a strategy and
-Bob's half of the rotation for each of his two settings are built once
-for its four settings, so a setting runs only Alice's half and the
-measurement.  The optimizer uses a dense vectorized
+state); the shared state, Alice's rows and their Koszul-twisted copy for
+each of her two settings and Bob's half of the rotation for each of his
+are built once for its four settings, so a setting runs only Alice's
+half and the measurement.  The optimizer uses a dense vectorized
 evaluator built on the graded tensor factorisation CL_4 = CL_2 (x) CL_2 of
 the two players' generator pairs.  A coefficient vector is a 4x4 array
 [Bob's monomial, Alice's monomial]; an entry of Alice's group element multiplies it from
@@ -73,6 +73,7 @@ from .superstate import (
     BOX_LIMIT,
     _OUTCOME_SIGN,
     _alice_half,
+    _alice_rows,
     _bob_half,
     digits_of,
     label_of,
@@ -140,8 +141,8 @@ def outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
     """Nine outcome probabilities for question pair (i, j), exact path:
     measure_real of the shared state after Alice's group element for
     setting i and Bob's for setting j, that is apply_local's two halves.
-    The shared state, Alice's two group elements and Bob's half for each
-    of his settings are built once and kept for the next call."""
+    The shared state, Alice's rows for each of her settings and Bob's half
+    for each of his are built once and kept for the next call."""
     state, alice, bob_halves = _strategy_parts(
         np.array(strat.to_vector(), dtype=float).tobytes())
     return measure_real(_alice_half(state, alice[i], bob_halves[j]))
@@ -149,21 +150,25 @@ def outcome_probs(i: int, j: int, strat: Strategy) -> list[float]:
 
 @lru_cache(maxsize=1)  # callers ask for the four settings of one strategy in a row
 def _strategy_parts(vec: bytes):
-    """(upsilon, Alice's two group elements, Bob's half of apply_local on
-    upsilon for each of his two group elements) of the strategy vector with
-    these float64 bytes.  Keyed on the bytes, not on float equality, so
-    that -0.0 and 0.0 are different keys and no earlier call decides what
-    a later one returns."""
+    """(upsilon, Alice's rows and their twisted copy (_alice_rows) for each
+    of her two group elements, Bob's half of apply_local on upsilon for
+    each of his two) of the strategy vector with these float64 bytes.
+    Keyed on the bytes, not on float equality, so that -0.0 and 0.0 are
+    different keys and no earlier call decides what a later one returns."""
     strat = Strategy.from_vector(np.frombuffer(vec).tolist())
     state = upsilon(strat.p_a, strat.p_b)
-    alice = tuple(group_element(*strat.alice[i], strat.r[i], 4, 1) for i in (0, 1))
+    alice = tuple(_alice_rows(group_element(*strat.alice[i], strat.r[i], 4, 1)) for i in (0, 1))
     bob_halves = tuple(_bob_half(state, group_element(*strat.bob[j], strat.s[j], 4, 2))
                        for j in (0, 1))
     return state, alice, bob_halves
 
 
-def win_prob(strat: Strategy) -> float:
-    return _pwin_from_tables([outcome_probs(i, j, strat) for (i, j) in SETTINGS])
+def win_prob(strat: Strategy, tables=None) -> float:
+    """Win probability on the exact path, or on the four tables of strat
+    if given."""
+    if tables is None:
+        tables = [outcome_probs(i, j, strat) for (i, j) in SETTINGS]
+    return _pwin_from_tables(tables)
 
 
 def constraint_violation(strat: Strategy, tables=None) -> float:

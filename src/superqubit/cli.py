@@ -247,13 +247,16 @@ def cmd_scan(args) -> int:
     closed form for equal angles, 1 - (p - q)^2, is checked against the
     graded route on every point: exits 1 if one is off by more than the
     rounding of the terms that cancel, max(1e-12, 1e-14 (p^2 + q^2)), and 2,
-    printing and writing nothing, if a transition or 1 - (p - q)^2 is not finite.
+    printing and writing nothing, if the grid (2 extent) overflows or a
+    transition or 1 - (p - q)^2 is not finite.
     """
     n = args.points
     if n < 2:
         raise ValueError("need at least 2 grid points per axis")
     if not math.isfinite(args.extent):
         raise ValueError("--extent must be a finite number")
+    if not math.isfinite(2.0 * args.extent):
+        raise ValueError(f"--extent {args.extent:g} is too large: the grid overflows")
     grid = [-args.extent + 2.0 * args.extent * k / (n - 1) for k in range(n)]
     rows = []
     worst, missed = 0.0, False
@@ -305,7 +308,7 @@ def cmd_chsh_eval(args) -> int:
     _report(args, {
         "strategy": strategy_to_dict(strat),
         "result": {
-            "p_win": chsh.win_prob(strat),
+            "p_win": chsh.win_prob(strat, tables),
             "violation": chsh.constraint_violation(strat, tables),
             "tables": tables_to_dict(tables),
         },

@@ -10,16 +10,18 @@ Arithmetic works on the coefficient dicts directly: a sum of products
 sum_t a_t b_t (a product, one entry of a matrix product) accumulates into
 one dict, and the result is built once, dropping every coefficient with
 |c| <= PRUNE_TOL.  Scaling by a number cancels nothing and keeps every
-term (only exact zeros go).  The reordering sign of each factor mask and
-the hash image of each monomial are cached by mask; masks are independent
-of the algebra order, so each cache holds at most 2^MAX_ORDER entries.  The
-modified Rogers norm is a dot product with the closed form of its
-Berezin-integral definition: a product of k full conjugate pairs has weight
-(-1)^k and every other monomial weight 0, whatever the algebra order.  The
-norm of x hash(x), rogers_of_hash_product(x), is read off x alone without
-forming the product or hash(x): each monomial of x meets only the
-monomials whose hash images complete it to a full-pair mask, listed with
-the image's sign once per (mask, order).
+term (only exact zeros go).  The reordering masks of every mask of an
+order are one tuple, built on the order's first product, and a sum of
+products fetches it once; the hash image of each monomial is cached by
+mask, which is independent of the algebra order, so that cache holds at
+most 2^MAX_ORDER entries.  The modified Rogers norm is a dot product
+with the closed form of its Berezin-integral definition: a product of k
+full conjugate pairs has weight (-1)^k and every other monomial weight 0,
+whatever the algebra order.  The norm of x hash(x),
+rogers_of_hash_product(x), is read off x alone without forming the
+product or hash(x): each monomial of x meets only the monomials whose
+hash images complete it to a full-pair mask, listed with the image's
+sign once per (mask, order).
 
 A matrix product (matrix_product) takes one of two paths, chosen by its
 order.  The dict loop visits every (term, term) pair of each entry's sum
@@ -66,7 +68,6 @@ class DomainError(ValueError):
     """Body outside the domain of the requested function (e.g. sqrt)."""
 
 
-@functools.cache
 def _above(mask: int) -> int:
     """Bit g set iff an odd number of the generators of mask lie above g.
 
@@ -80,6 +81,13 @@ def _above(mask: int) -> int:
     a ^= a >> 4
     a ^= a >> 8
     return a
+
+
+@functools.cache
+def _above_table(order: int) -> tuple[int, ...]:
+    """_above of every mask of the order, indexed by mask (65536 entries
+    at MAX_ORDER)."""
+    return tuple(_above(m) for m in range(1 << order))
 
 
 _ETA_BITS = 0x5555  # the bits of the eta_i, generator indices 2i-1
@@ -356,12 +364,13 @@ def _sum_of_products(order: int, pairs) -> Supernumber:
     one dict and pruned once; the operands' orders are not checked."""
     out: dict[int, complex] = {}
     get = out.get
+    above = _above_table(order)
     for a, b in pairs:
         bt = b._terms
         if not bt:
             continue
         for ma, ca in a._terms.items():
-            sa = _above(ma)
+            sa = above[ma]
             for mb, cb in bt.items():
                 if ma & mb:
                     continue  # repeated generator, vanishes
@@ -527,17 +536,21 @@ def rogers_of_hash_product(x: Supernumber) -> complex:
     ma of x of w[P] * sign(ma, mb) * sign(mc) * x[ma] * conj(x[mc]) over
     the full-pair masks P that contain ma.  No zero rule applies to the
     product's coefficients.  x must be homogeneous (zero counts as even);
-    either parity makes the product even.
+    either parity makes the product even.  The parities met are tracked in
+    the same pass, as bits 1 (even) and 2 (odd) of seen.
     """
-    if x.parity() is None:
-        raise ParityError("modified Rogers norm requires an even element")
     xt = x._terms
+    order = x.order
     val = 0j
+    seen = 0
     for ma, ca in xt.items():
-        for mc, w in _rogers_partners(ma, x.order):
+        seen |= 1 << (ma.bit_count() & 1)
+        for mc, w in _rogers_partners(ma, order):
             c = xt.get(mc)
             if c is not None:
                 val += w * (ca * c.conjugate())
+    if seen == 3:
+        raise ParityError("modified Rogers norm requires an even element")
     return val
 
 

@@ -15,9 +15,10 @@ as is_valid does; the internal _new, for built and computed states, does not.
 
 Local operations on two parties never form the 9x9 graded Kronecker
 product: apply_local is Bob's half (_bob_half, his group element
-contracted with his digit) followed by Alice's half (_alice_half, hers
-with her digit, the Koszul sign folded into her entries), so a caller
-that keeps Bob's setting can keep his half too.
+contracted with his digit) followed by Alice's half (_alice_half, her
+rows contracted with her digit, the Koszul sign folded into a twisted
+copy of them, _alice_rows), so a caller that keeps Bob's setting can keep
+his half too, and one that keeps Alice's can keep her rows.
 """
 
 from __future__ import annotations
@@ -264,8 +265,7 @@ def upsilon(p_a: float, p_b: float) -> SuperState:
     g_b = s_matrix(p_b, order, 2)[0, 0]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     coeffs = [Supernumber.zero(order)] * 9
-    coeffs[index_of("00")] = g_a * g_b * inv_sqrt2
-    coeffs[index_of("11")] = g_a * g_b * inv_sqrt2
+    coeffs[index_of("00")] = coeffs[index_of("11")] = g_a * g_b * inv_sqrt2
     coeffs[index_of("1*")] = eta_b * g_a * (-p_b)
     coeffs[index_of("*1")] = eta_a * g_b * (-p_a)
     coeffs[index_of("**")] = eta_a * eta_b * (-p_a * p_b)
@@ -360,7 +360,7 @@ def apply_local(state: SuperState, z_a: Supermatrix, z_b: Supermatrix) -> SuperS
             raise DimensionMismatch("algebra orders differ")
         if z.col_parity != VEC_PARITY or z.row_parity != VEC_PARITY:
             raise DimensionMismatch("apply_local needs 3x3 group elements on (0, 1, bullet)")
-    return _alice_half(state, z_a, _bob_half(state, z_b))
+    return _alice_half(state, _alice_rows(z_a), _bob_half(state, z_b))
 
 
 def _bob_half(state: SuperState, z_b: Supermatrix) -> list[list[Supernumber]]:
@@ -372,16 +372,23 @@ def _bob_half(state: SuperState, z_b: Supermatrix) -> list[list[Supernumber]]:
             for k in range(3)]
 
 
-def _alice_half(state: SuperState, z_a: Supermatrix, w) -> SuperState:
-    """The two-party state, on the pairs and order of state, with right
-    coordinates r[i, k] = sum_j (-1)^((|i|+|j|)|k|) a_ij w[k][j], the
-    parities those of VEC_PARITY; each entry one fused sum of products,
-    unchecked."""
-    # Alice's rows, with the Koszul sign folded in for an odd Bob digit k
+def _alice_rows(z_a: Supermatrix):
+    """(a, twisted): the rows a_ij of Alice's group element and their copy
+    (-1)^(|i|+|j|) a_ij with the Koszul sign of an odd Bob digit folded in,
+    the parities those of VEC_PARITY."""
     alice = z_a.entries
-    twisted = [[-e if (VEC_PARITY[i] + VEC_PARITY[j]) % 2 else e for j, e in enumerate(row)]
-               for i, row in enumerate(alice)]
-    out = tuple(_sum_of_products(state.order, zip(twisted[i] if VEC_PARITY[k] else alice[i], w[k]))
+    twisted = tuple(tuple(-e if (VEC_PARITY[i] + VEC_PARITY[j]) % 2 else e
+                          for j, e in enumerate(row))
+                    for i, row in enumerate(alice))
+    return alice, twisted
+
+
+def _alice_half(state: SuperState, rows, w) -> SuperState:
+    """The two-party state, on the pairs and order of state, with right
+    coordinates r[i, k] = sum_j (-1)^((|i|+|j|)|k|) a_ij w[k][j], from
+    rows = (a, twisted) of _alice_rows, indexed by the parity |k| of Bob's
+    digit; each entry one fused sum of products, unchecked."""
+    out = tuple(_sum_of_products(state.order, zip(rows[VEC_PARITY[k]][i], w[k]))
                 for i in range(3) for k in range(3))
     return _new(out, 2, state.pairs, state.order)
 

@@ -187,8 +187,13 @@ def test_outcome_probs_keeps_no_stale_parts():
                 assert repr(outcome_probs(i, j, strat)) == table
                 key = np.array(strat.to_vector(), dtype=float).tobytes()
                 _, alice, bob_halves = chsh._strategy_parts(key)
-                assert repr(alice[i].entries) == repr(
-                    group_element(*strat.alice[i], strat.r[i], 4, 1).entries)
+                rows, twisted = alice[i]
+                built = group_element(*strat.alice[i], strat.r[i], 4, 1).entries
+                assert repr(rows) == repr(built)
+                # the Koszul sign (-1)^(|m|+|n|) of an odd Bob digit on entry (m, n)
+                assert repr(twisted) == repr(tuple(
+                    tuple(-e if VEC_PARITY[m] != VEC_PARITY[n] else e for n, e in enumerate(row))
+                    for m, row in enumerate(built)))
                 assert repr(bob_halves[j]) == repr(_bob_half(
                     upsilon(strat.p_a, strat.p_b),
                     group_element(*strat.bob[j], strat.s[j], 4, 2)))

@@ -268,6 +268,17 @@ def test_chsh_eval_matches_library_evaluator(tmp_path, capsys):
         assert got == pytest.approx(want, abs=1e-15)
 
 
+def test_chsh_eval_runs_the_exact_path_once(tmp_path, monkeypatch):
+    # four tables take four of Alice's halves; p_win and the violation are
+    # read off those tables, not evaluated again
+    calls = []
+    half = chsh._alice_half
+    monkeypatch.setattr(chsh, "_alice_half", lambda *a: calls.append(1) or half(*a))
+    strat_file = _write_strategy_file(tmp_path / "s.json", Strategy(p_a=0.2, s=(0.1, -0.3)))
+    assert cli.main(["chsh-eval", strat_file]) == 0
+    assert len(calls) == 4
+
+
 def test_chsh_eval_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -487,14 +498,18 @@ def test_scan_rejects_non_finite_values(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "error: --extent must be a finite number" in err
-    # finite extents whose transitions overflow (1e200), or whose grid
-    # does (1e308), print and write nothing
-    for extent in ("1e200", "1e308"):
+    # finite extents whose transitions overflow (1e200, 8.9e307), or whose
+    # grid does (2 * extent past the largest float: 9e307, 1e308), print
+    # and write nothing
+    for extent, message in (("1e200", "non-finite transition"),
+                            ("8.9e307", "non-finite transition"),
+                            ("9e307", "--extent 9e+307 is too large: the grid overflows"),
+                            ("1e308", "--extent 1e+308 is too large: the grid overflows")):
         csv_file = tmp_path / f"grid-{extent}.csv"
         assert cli.main(["scan", "--points", "3", "--extent", extent, "--csv", str(csv_file)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "non-finite" in err
+        assert message in err
         assert not csv_file.exists()
 
 

@@ -132,6 +132,8 @@ def test_coefficient_count_must_match_parties():
             SuperState.basis_state(label, parties, pairs=pairs, order=order)
     with pytest.raises(ValueError, match="outside"):
         SuperState([one, one, Supernumber.eta(1, 2)], 1, pairs=(2,))
+    with pytest.raises(ValueError, match="one generator pair per party"):
+        SuperState([Supernumber.one(4)] * 9, 2, pairs=(1,))
 
 
 def test_left_and_right_coefficients_flip_odd_parts():
@@ -429,6 +431,8 @@ def test_tensor_requires_disjoint_pairs():
     b = superqubit(0.4, 0.5, 0.6, order=4, pair=1)
     with pytest.raises(ValueError):
         tensor(a, b)
+    with pytest.raises(ValueError, match="two single-party states"):
+        tensor(upsilon(0.1, 0.2), superqubit(0.4, 0.5, 0.6, order=4, pair=2))
 
 
 def test_tensor_requires_matching_order():
@@ -518,6 +522,11 @@ def test_apply_local_rejects_odd_or_misshapen_factors():
         apply_local(ups, z, u_matrix(0.4, 0.1, 2))
     with pytest.raises(DimensionMismatch):
         apply_local(ups, Supermatrix.identity((0, 1), 4), z)
+    # each takes its own number of parties
+    with pytest.raises(ValueError, match="needs a two-party state"):
+        apply_local(superqubit(0.1, 0.2, 0.3, order=4), z, z)
+    with pytest.raises(ValueError, match="takes a single-party state"):
+        apply(ups, z)
 
 
 def test_apply_local_rejects_group_elements_with_other_row_labels():
@@ -690,6 +699,13 @@ def test_text_parser_rejects_malformed_input():
     two = state_to_text(upsilon(0.2, 0.3))
     with pytest.raises(ValueError, match="repeat"):
         state_from_text(two.replace("pairs 1 2", "pairs 1 1"))
+    # a term with no ket, an unknown record line, a record with no order line
+    with pytest.raises(ValueError, match="term line before header/ket lines"):
+        state_from_text("superqubit-state v1\nparties 1\norder 2\nterm - 1.0 0.0\nend\n")
+    with pytest.raises(ValueError, match="unrecognized record line 'spin 1'"):
+        state_from_text(text.replace("order 2", "order 2\nspin 1"))
+    with pytest.raises(ValueError, match="incomplete state record"):
+        state_from_text("superqubit-state v1\nparties 1\nend\n")
 
 
 def test_text_parser_rejects_a_repeated_header_line():
